@@ -19,6 +19,7 @@ from .belief import (
     ActionFunction,
     BeliefGrid,
     DegenerateSuccessError,
+    GridGeometryError,
     SupportOverflowError,
     propagate,
     stage_cost,
@@ -266,6 +267,10 @@ def _cmd_simulate(args) -> int:
     seed = sim["base_seed"] if args.seed is None else args.seed
     reps = sim["replications"] if args.replications is None else args.replications
     estimator = sim["estimator"] if args.estimator is None else args.estimator
+    if horizon < 1:
+        raise ConfigError(f"simulate horizon must be positive, got {horizon}")
+    if reps < 1:
+        raise ConfigError(f"simulate replications must be positive, got {reps}")
     cfg["simulate"].update(
         {"horizon": horizon, "base_seed": seed, "replications": reps, "estimator": estimator}
     )
@@ -533,7 +538,7 @@ def run(argv: list[str] | None = None) -> int:
     except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ChainStructureError, SupportOverflowError) as exc:
+    except (ChainStructureError, GridGeometryError, SupportOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OSError as exc:

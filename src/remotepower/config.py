@@ -37,8 +37,7 @@ DEFAULT_CONFIG: dict = {
         "initial_gain_index": 0,
     },
     "reception": {"form": "exponential", "scale": 1.0, "on_level": None, "on_prob": 1.0},
-    "actions": {"levels": [0.0, 1.0, 2.0, 4.0], "saturation_radius": 12.0,
-                "lipschitz_bound": None},
+    "actions": {"levels": [0.0, 1.0, 2.0, 4.0], "saturation_radius": 12.0},
     "cost": {"alpha": 0.5},
     "grid": {"half_width": 60.0, "n_points": 4001, "convolution": "fft"},
     "solver": {"depth": 8, "tol_rho": 1e-6, "max_rounds": 200, "threshold_points": None},
@@ -120,9 +119,6 @@ def build_problem(cfg: dict) -> ControlProblem:
         actions = ActionSet(
             levels=tuple(float(u) for u in ac["levels"]),
             saturation_radius=float(ac["saturation_radius"]),
-            lipschitz_bound=None
-            if ac["lipschitz_bound"] is None
-            else float(ac["lipschitz_bound"]),
         )
         cost = CostWeights(alpha=float(cfg["cost"]["alpha"]))
     except (KeyError, TypeError, ValueError) as err:

@@ -127,13 +127,11 @@ class ActionSet:
 
     levels are distinct, ascending, and start at 0; u_max = levels[-1].
     Structured transmission rules must use u_max whenever |e| exceeds
-    saturation_radius.  lipschitz_bound is recorded metadata for the
-    continuum action class and is not enforced on step rules.
+    saturation_radius.
     """
 
     levels: tuple[float, ...]
     saturation_radius: float
-    lipschitz_bound: float | None = None
 
     def __post_init__(self) -> None:
         if len(self.levels) < 2:
@@ -144,8 +142,6 @@ class ActionSet:
             raise ModelError("levels must be strictly increasing")
         if not self.saturation_radius > 0:
             raise ModelError("saturation_radius must be positive")
-        if self.lipschitz_bound is not None and not self.lipschitz_bound > 0:
-            raise ModelError("lipschitz_bound must be positive when given")
 
     @property
     def u_max(self) -> float:

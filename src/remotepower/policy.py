@@ -352,7 +352,3 @@ class PowerPolicy:
             enforce=bool(data.get("enforce", True)),
         )
 
-
-def action_of(policy: PowerPolicy, node: NodeKey, gain_index: int) -> ActionFunction:
-    """Module-level alias for PowerPolicy.action_of."""
-    return policy.action_of(node, gain_index)

@@ -7,7 +7,9 @@ plant state itself is only materialized when a trace file is requested.
 
 Policy lookups snap the innovation to the nearest grid node before applying
 the rule, so a rollout exercises exactly the decision function the chain
-evaluates, not an off-grid variant of it.
+evaluates, not an off-grid variant of it.  Rules and beliefs are read from the
+solver's failure-history tree, the one the chain build reads, filled only at
+the nodes a rollout visits.
 """
 
 from __future__ import annotations
@@ -23,16 +25,14 @@ from scipy.signal import lfilter
 from scipy.special import logsumexp
 
 from .belief import (
-    BeliefGrid,
     DegenerateSuccessError,
     GridGeometry,
     SupportOverflowError,
-    gaussian_grid,
-    propagate,
     mean as belief_mean,
 )
 from .model import ControlProblem, ScalarProcess, reception_prob
 from .policy import NodeKey, PowerPolicy
+from .solver import _center_of, _HistoryTree
 
 logger = logging.getLogger(__name__)
 
@@ -101,67 +101,44 @@ class TrajectoryMetrics:
         }
 
 
-class _BeliefCache:
-    """Lazily propagated per-node beliefs and their derived centers.
+class _StateMemo:
+    """Per-state rollout quantities read off one failure-history tree.
 
-    Mirrors the chain build exactly: the belief at a failure-history node is
-    the parent belief conditioned on a miss of the parent's action and pushed
-    through the plant.  Only visited nodes are materialized.
+    rows[(node, g)] is the rule's level-index row, the innovation mean at the
+    node and the failure-branch centre at the state.  The last two stay zero
+    for the closed-form estimator, and from a node whose belief propagation
+    failed.  One memo serves every replication a process runs.
     """
 
     def __init__(self, problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy,
-                 depth: int):
-        self.problem = problem
-        self.geometry = geometry
-        self.policy = policy
-        self.depth = depth
-        root = gaussian_grid(0.0, problem.process.noise_var, geometry)
-        self._beliefs: dict[NodeKey, BeliefGrid | None] = {(): root}
-        self._means: dict[NodeKey, float] = {(): belief_mean(root)}
-        self._fail_centers: dict[tuple[NodeKey, int], float] = {}
+                 depth: int, centred: bool):
+        self.tree = _HistoryTree(problem, geometry, policy, depth)
+        self.centred = centred
+        self.levels = np.asarray(problem.actions.levels)
+        self.q_rows = [
+            np.array([float(reception_prob(problem.reception, lv, h)) for lv in self.levels])
+            for h in problem.channel.gains
+        ]
+        self.rows: dict[tuple[NodeKey, int], tuple[np.ndarray, float, float]] = {}
+        self._warned: set[ValueError] = set()
 
-    def belief(self, node: NodeKey) -> BeliefGrid | None:
-        """Belief at a failure-history node, or None once propagation has
-        overflowed the grid (the estimator then falls back to closed form)."""
-        if node not in self._beliefs:
-            parent, g = node[:-1], node[-1]
-            theta = self.belief(parent)
-            if theta is None:
-                self._beliefs[node] = None
-            else:
-                action = self.policy.action_of(parent, g)
-                try:
-                    self._beliefs[node] = propagate(
-                        theta, self.problem.channel.gains[g], action, 0,
-                        self.problem.process, self.problem.reception,
-                    )
-                except (SupportOverflowError, DegenerateSuccessError) as exc:
+    def fill(self, node: NodeKey, g: int) -> tuple[np.ndarray, float, float]:
+        li_row = np.searchsorted(self.levels, self.tree.action(node, g).values).astype(np.int8)
+        entry = (li_row, 0.0, 0.0)
+        if self.centred:
+            try:
+                theta = self.tree.belief(node)
+            except (SupportOverflowError, DegenerateSuccessError) as exc:
+                # the tree raises one error for a node and all its descendants
+                if exc not in self._warned:
+                    self._warned.add(exc)
                     logger.warning(
                         "belief propagation failed at failure history %s (%s); "
                         "falling back to closed-form estimates from here on", node, exc)
-                    self._beliefs[node] = None
-        return self._beliefs[node]
-
-    def innovation_mean(self, node: NodeKey) -> float:
-        if node not in self._means:
-            theta = self.belief(node)
-            self._means[node] = 0.0 if theta is None else belief_mean(theta)
-        return self._means[node]
-
-    def failure_center(self, node: NodeKey, gain_index: int, level_idx: np.ndarray,
-                       q_row: np.ndarray) -> float:
-        """Failure-branch innovation mean at a state (the error center the
-        posterior-mean estimator would use after a miss)."""
-        key = (node, gain_index)
-        if key not in self._fail_centers:
-            theta = self.belief(node)
-            if theta is None:
-                self._fail_centers[key] = 0.0
             else:
-                fail_w = (1.0 - q_row[level_idx]) * theta.cell_masses()
-                fm = float(fail_w.sum())
-                self._fail_centers[key] = 0.0 if fm < 1e-12 else float(fail_w @ theta.nodes) / fm
-        return self._fail_centers[key]
+                entry = (li_row, belief_mean(theta), _center_of(theta, self.q_rows[g][li_row]))
+        self.rows[(node, g)] = entry
+        return entry
 
 
 def simulate(
@@ -177,6 +154,7 @@ def simulate(
     window: int = 100_000,
     trace_path: str | None = None,
     trace_comment: list[str] | None = None,
+    _memo: _StateMemo | None = None,
 ) -> TrajectoryMetrics:
     """Roll the closed loop forward and return time-averaged metrics.
 
@@ -185,6 +163,7 @@ def simulate(
     the worst gap between the two estimators.  Randomness comes from three
     counter-based streams (noise, channel, reception) derived from
     (seed, replication), so runs are reproducible regardless of scheduling.
+    `_memo` lets replications in one process share the per-state quantities.
     """
     if estimator_mode not in ("closed_form", "belief_mean"):
         raise ValueError("estimator_mode must be 'closed_form' or 'belief_mean'")
@@ -193,8 +172,11 @@ def simulate(
     channel = problem.channel
     process = problem.process
     G = len(channel.gains)
-    levels = np.asarray(problem.actions.levels)
-    n_levels = len(levels)
+    centred = estimator_mode == "belief_mean"
+    memo = _memo if _memo is not None else _StateMemo(problem, geometry, policy, depth, centred)
+    rows = memo.rows
+    levels = memo.levels
+    q_rows = memo.q_rows
     E = geometry.half_width
     dx = geometry.spacing
     n_pts = geometry.n_points
@@ -208,28 +190,6 @@ def simulate(
     u_rec = rec_gen.random(horizon + 1)
 
     pi_cum = np.cumsum(np.asarray(channel.transition), axis=1)
-    q_rows = [
-        np.array([float(reception_prob(problem.reception, lv, h)) for lv in levels])
-        for h in channel.gains
-    ]
-
-    # per-state expansion cache: innovation node index -> level index
-    level_idx_cache: dict[tuple[NodeKey, int], np.ndarray] = {}
-    top_idx = np.full(n_pts, n_levels - 1, dtype=np.int8)
-
-    def level_indices(node: NodeKey, g: int) -> np.ndarray:
-        key = (node, g)
-        got = level_idx_cache.get(key)
-        if got is None:
-            if len(node) == depth:
-                got = top_idx
-            else:
-                values = policy.action_of(node, g).values
-                got = np.searchsorted(levels, values).astype(np.int8)
-            level_idx_cache[key] = got
-        return got
-
-    beliefs = _BeliefCache(problem, geometry, policy, depth) if estimator_mode == "belief_mean" else None
 
     trace_file = None
     writer = None
@@ -259,7 +219,7 @@ def simulate(
     root_att = [0] * G
     root_suc = [0] * G
     tail_steps = 0
-    max_gap = 0.0 if estimator_mode == "belief_mean" else None
+    max_gap = 0.0 if centred else None
     windows: list[float] = []
     win_err = 0.0
     win_count = 0
@@ -269,7 +229,7 @@ def simulate(
         at_tail = len(node) == depth
         if at_tail:
             tail_steps += 1
-        li_row = level_indices(node, g)
+        li_row, inn_mean, center = rows.get((node, g)) or memo.fill(node, g)
         idx = int((e + E) / dx + 0.5)
         if idx < 0:
             idx = 0
@@ -280,13 +240,8 @@ def simulate(
         q = float(q_rows[g][li])
         received = u_rec[k] < q
 
-        if estimator_mode == "belief_mean":
-            gap = abs(beliefs.innovation_mean(node))
-            if gap > max_gap:
-                max_gap = gap
-            center = beliefs.failure_center(node, g, li_row, q_rows[g])
-        else:
-            center = 0.0
+        if centred and abs(inn_mean) > max_gap:
+            max_gap = abs(inn_mean)
 
         if not node:
             root_att[g] += 1
@@ -310,8 +265,7 @@ def simulate(
                 x_hat_belief = x
             else:
                 x_hat_closed = estimate_closed_form(process, x_last, steps_since)
-                inn = beliefs.innovation_mean(node) if beliefs is not None else 0.0
-                x_hat_belief = estimate_belief_mean(process, x_last, steps_since, inn)
+                x_hat_belief = estimate_belief_mean(process, x_last, steps_since, inn_mean)
             writer.writerow(
                 [k, repr(x), repr(x_hat_closed), repr(x_hat_belief), repr(e),
                  repr(u), repr(channel.gains[g]), int(received),
@@ -386,12 +340,16 @@ class ReplicationSummary:
         }
 
 
-def _replicate_worker(args) -> TrajectoryMetrics:
-    problem, geometry, policy, estimator_mode, horizon, base_seed, rep, depth, window = args
-    return simulate(
-        problem, geometry, policy, estimator_mode, horizon, base_seed,
-        depth=depth, replication=rep, window=window,
-    )
+def _replicate_worker(args) -> list[TrajectoryMetrics]:
+    problem, geometry, policy, estimator_mode, horizon, base_seed, reps, depth, window = args
+    memo = _StateMemo(problem, geometry, policy, depth, estimator_mode == "belief_mean")
+    return [
+        simulate(
+            problem, geometry, policy, estimator_mode, horizon, base_seed,
+            depth=depth, replication=r, window=window, _memo=memo,
+        )
+        for r in reps
+    ]
 
 
 def replicate(
@@ -411,18 +369,23 @@ def replicate(
 
     Replication r draws from streams keyed by (base_seed, r), so the summary
     is bit-identical for any thread count; threads only change wall time.
+    Each process runs a contiguous block of replications on one shared
+    failure-history tree.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
+    n_jobs = max(1, min(threads, replications))
+    cuts = [replications * k // n_jobs for k in range(n_jobs + 1)]
     jobs = [
-        (problem, geometry, policy, estimator_mode, horizon, base_seed, r, depth, window)
-        for r in range(replications)
+        (problem, geometry, policy, estimator_mode, horizon, base_seed, range(lo, hi),
+         depth, window)
+        for lo, hi in zip(cuts, cuts[1:])
     ]
-    if threads <= 1:
-        results = [_replicate_worker(j) for j in jobs]
+    if n_jobs == 1:
+        results = _replicate_worker(jobs[0])
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_replicate_worker, jobs))
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            results = [m for block in pool.map(_replicate_worker, jobs) for m in block]
 
     costs = [m.avg_cost for m in results]
     arr = np.asarray(costs)

@@ -7,6 +7,10 @@ capped.  States are (history node, current gain) pairs; the chain couples the
 belief recursion with the gain process and policy evaluation reduces to sparse
 linear algebra on it.
 
+Beliefs and rules come from one failure-history tree per policy, filled on
+demand: the chain build reads every node of it, and the Monte Carlo simulator
+reads the nodes a rollout visits.
+
 Depth capping makes the tail nodes approximate: their beliefs are frozen and
 they transmit at full power, so a failure at the cap self-loops.  The solver
 reports tail occupancy so callers can confirm the cap does not matter.
@@ -26,6 +30,7 @@ from .belief import (
     DEGENERATE_SUCCESS_TOL,
     ActionFunction,
     BeliefGrid,
+    DegenerateSuccessError,
     GridGeometry,
     SupportOverflowError,
     expected_power,
@@ -114,13 +119,62 @@ class UnfoldedChain:
         return np.repeat(self.virtual_mask, self.n_gains)
 
 
+class _HistoryTree:
+    """Failure-history tree of one policy, filled lazily.
+
+    The rule at (node, g) is the policy's rule, expanded once, or full power
+    at the depth cap.  The belief at a node is the parent belief propagated
+    through a miss of the parent's rule.  A propagation that fails is stored:
+    its error is raised again for that node and for every node below it.
+    """
+
+    def __init__(
+        self, problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy, depth: int
+    ):
+        self.problem = problem
+        self.policy = policy
+        self.depth = depth
+        self.root = gaussian_grid(0.0, problem.process.noise_var, geometry)
+        self._full_power = max_power_action(problem.actions).as_action(
+            geometry, problem.actions
+        )
+        self._actions: dict[StateKey, ActionFunction] = {}
+        self._beliefs: dict[NodeKey, BeliefGrid | ValueError] = {(): self.root}
+
+    def action(self, node: NodeKey, g: int) -> ActionFunction:
+        if len(node) == self.depth:
+            return self._full_power
+        got = self._actions.get((node, g))
+        if got is None:
+            got = self._actions[(node, g)] = self.policy.action_of(node, g)
+        return got
+
+    def belief(self, node: NodeKey) -> BeliefGrid:
+        got = self._beliefs.get(node)
+        if got is None:
+            parent, g = node[:-1], node[-1]
+            problem = self.problem
+            try:
+                got = propagate(
+                    self.belief(parent), problem.channel.gains[g], self.action(parent, g), 0,
+                    problem.process, problem.reception,
+                )
+            except (SupportOverflowError, DegenerateSuccessError) as err:
+                got = err
+            self._beliefs[node] = got
+        if isinstance(got, ValueError):
+            raise got
+        return got
+
+
 def build_chain(
     problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy, depth: int
 ) -> UnfoldedChain:
     """Unfold the belief recursion under a fixed policy up to `depth` failures.
 
     The full history tree is materialized (every gain sequence of length up to
-    depth) so state indices are stable across policies.  Edges whose failure
+    depth) so state indices are stable across policies; rules and beliefs are
+    read from the policy's failure-history tree.  Edges whose failure
     probability is below DEGENERATE_SUCCESS_TOL are treated as certain
     successes: the sliver of failure mass moves to the success edge and the
     orphaned subtree is marked virtual.
@@ -149,8 +203,8 @@ def build_chain(
         for g in range(G):
             child[i, g] = node_index[node + (g,)] if len(node) < depth else i
 
-    root_belief = gaussian_grid(0.0, problem.process.noise_var, geometry)
-    beliefs: list[BeliefGrid] = [root_belief] * n_nodes
+    tree = _HistoryTree(problem, geometry, policy, depth)
+    beliefs: list[BeliefGrid] = [tree.root] * n_nodes
     virtual = np.zeros(n_nodes, dtype=bool)
     tail = np.array([len(node) == depth for node in nodes])
     S = n_nodes * G
@@ -158,14 +212,13 @@ def build_chain(
     phi = np.empty(S)
     power = np.empty(S)
     distortion = np.empty(S)
-    tail_action = max_power_action(problem.actions).as_action(geometry, problem.actions)
     zero_alpha = CostWeights(alpha=0.0)
 
     for i, node in enumerate(nodes):
         theta = beliefs[i]
         for g in range(G):
             s = i * G + g
-            action = tail_action if tail[i] else policy.action_of(node, g)
+            action = tree.action(node, g)
             gain = channel.gains[g]
             actions[s] = action
             phi[s] = success_prob(theta, gain, action, problem.reception)
@@ -175,13 +228,10 @@ def build_chain(
                 continue
             c = child[i, g]
             if virtual[i] or 1.0 - phi[s] < DEGENERATE_SUCCESS_TOL:
-                beliefs[c] = root_belief
                 virtual[c] = True
             else:
                 try:
-                    beliefs[c] = propagate(
-                        theta, gain, action, 0, problem.process, problem.reception
-                    )
+                    beliefs[c] = tree.belief(node + (g,))
                 except SupportOverflowError as err:
                     raise SupportOverflowError(
                         f"belief after failure history {node + (g,)} overflowed: {err}"
@@ -514,23 +564,6 @@ def _rules_signature(policy: PowerPolicy) -> tuple:
     return tuple(items)
 
 
-def _same_rules(a: PowerPolicy, b: PowerPolicy) -> bool:
-    if a.mode == "baseline" or b.mode == "baseline":
-        return False
-    if set(a.rules) != set(b.rules):
-        return False
-    for key, ra in a.rules.items():
-        rb = b.rules[key]
-        if isinstance(ra, ThresholdAction) != isinstance(rb, ThresholdAction):
-            return False
-        if isinstance(ra, ThresholdAction):
-            if ra.thresholds != rb.thresholds:
-                return False
-        elif not np.array_equal(np.asarray(ra), np.asarray(rb)):
-            return False
-    return True
-
-
 @dataclass
 class SolveResult:
     """Best policy found by alternating chain builds and improvement sweeps."""
@@ -586,7 +619,7 @@ def solve(
         improved = improve_policy(
             chain, problem.cost, ev.relative_values, switch_grid=grid
         )
-        if _same_rules(improved, policy):
+        if _rules_signature(improved) == _rules_signature(policy):
             converged = True
             break
         policy = improved
@@ -678,7 +711,7 @@ def solve_discounted(
         improved = improve_policy(
             chain, problem.cost, values, switch_grid=grid, beta=beta
         )
-        if _same_rules(improved, policy):
+        if _rules_signature(improved) == signature:
             converged = True
             break
         policy = improved

@@ -179,3 +179,36 @@ def test_unconverged_solve_exits_2(tmp_path, capsys):
     assert "before convergence" in capsys.readouterr().err
     assert json.loads(out.read_text())["converged"] is False
     assert run(["verify-structure", str(path), "--samples", "5"]) == 2
+
+
+def _assert_one_line_input_error(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"grid": {"half_width": 10.0}},  # inside the saturation radius 12
+        {"actions": {"saturation_radius": 2.0}, "grid": {"half_width": 4.0}},  # 4 noise sigmas
+    ],
+)
+def test_solve_on_a_too_narrow_grid_exits_3(tmp_path, capsys, cfg):
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(cfg))
+    _assert_one_line_input_error(run(["solve", str(path)]), capsys)
+
+
+def test_simulate_rejects_a_nonpositive_horizon(tiny_cfg_path, solved, capsys):
+    solution_path, _ = solved
+    code = run(["simulate", tiny_cfg_path, "--policy", str(solution_path), "-T", "0"])
+    _assert_one_line_input_error(code, capsys)
+
+
+def test_simulate_rejects_a_nonpositive_replication_count(tiny_cfg_path, solved, capsys):
+    solution_path, _ = solved
+    code = run(["simulate", tiny_cfg_path, "--policy", str(solution_path),
+                "--replications", "0"])
+    _assert_one_line_input_error(code, capsys)

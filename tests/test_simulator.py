@@ -1,6 +1,7 @@
 """Rollout mechanics: seeding, estimators, traces, and agreement with the chain."""
 
 import csv
+import logging
 import math
 
 import numpy as np
@@ -180,3 +181,27 @@ def test_replication_summary_is_thread_count_invariant(tiny_problem, tiny_geomet
     serial = replicate(tiny_problem, tiny_geometry, policy, 4, 2000, 99, threads=1, depth=4)
     pooled = replicate(tiny_problem, tiny_geometry, policy, 4, 2000, 99, threads=2, depth=4)
     assert serial.to_dict() == pooled.to_dict()
+
+
+def test_belief_mean_replications_share_one_tree(tiny_problem, tiny_geometry):
+    policy = PowerPolicy.on_off(1.5, tiny_problem.actions, tiny_geometry)
+    kwargs = dict(estimator_mode="belief_mean", depth=4)
+    serial = replicate(tiny_problem, tiny_geometry, policy, 3, 2000, 99, threads=1, **kwargs)
+    pooled = replicate(tiny_problem, tiny_geometry, policy, 3, 2000, 99, threads=2, **kwargs)
+    assert serial.to_dict() == pooled.to_dict()
+    for r, m in enumerate(serial.per_replication):
+        alone = simulate(tiny_problem, tiny_geometry, policy, "belief_mean", 2000, 99,
+                         depth=4, replication=r)
+        assert m.to_dict() == alone.to_dict()
+
+
+def test_propagation_failure_is_logged_once_at_its_history(tiny_problem, tiny_geometry,
+                                                           caplog):
+    # the lopsided rule drives the belief off the grid five failures deep
+    lopsided = np.where(tiny_geometry.nodes() >= 1.0, 4.0, 0.0)
+    policy = PowerPolicy.uniform(lopsided, tiny_problem.actions, tiny_geometry, enforce=False)
+    with caplog.at_level(logging.WARNING, logger="remotepower.simulator"):
+        simulate(tiny_problem, tiny_geometry, policy, "belief_mean", 50_000, 13, depth=6)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "failure history (0, 0, 0, 0, 0) " in warnings[0]

@@ -17,6 +17,7 @@ from remotepower import (
     PowerPolicy,
     ReceptionModel,
     ScalarProcess,
+    SupportOverflowError,
     ThresholdAction,
     build_chain,
     canonicalize,
@@ -94,6 +95,16 @@ def test_chain_children_follow_belief_recursion(canon_problem, canon_geometry):
         canon_problem.process, canon_problem.reception,
     )
     assert np.array_equal(chain.beliefs[chain.node_index[(0, 1)]].weights, manual.weights)
+
+
+def test_chain_overflow_names_the_history(tiny_problem, tiny_geometry):
+    # the lopsided rule drives the belief off the grid five failures deep
+    lopsided = np.where(tiny_geometry.nodes() >= 1.0, 4.0, 0.0)
+    policy = PowerPolicy.uniform(lopsided, tiny_problem.actions, tiny_geometry, enforce=False)
+    build_chain(tiny_problem, tiny_geometry, policy, depth=4)
+    history = r"failure history \(0, 0, 0, 0, 0\) overflowed"
+    with pytest.raises(SupportOverflowError, match=history):
+        build_chain(tiny_problem, tiny_geometry, policy, depth=6)
 
 
 def test_chain_variance_recursion(canon_problem, canon_geometry):
