@@ -7,14 +7,20 @@ endpoint cells are half width.
 
 Transmission rules enter in one of two shapes:
 
-* node-valued (``bands is None``): the rule is constant on each cell and all
-  integrals are plain trapezoid sums, or
+* node-valued (``bands is None``): the rule is constant on each cell, or
 * banded (``bands`` set): the rule is a radially symmetric step function with
-  exact real-valued switch radii.  Integrals then split cells at the radii,
-  which keeps layer-cake identities exact instead of quantized to the grid.
+  exact real-valued switch radii.  The rule cuts every cell once, when it is
+  built, into the piece each band takes from it on each side of zero, which
+  keeps layer-cake identities exact instead of quantized to the grid.
 
-The banded path exists because the rearrangement identities demand measure
-matching far below one cell of mass; the solver itself stays on the node path.
+Every operator reads a rule through one per-cell average of a per-level
+quantity (power, success or failure probability): the node's level on a node
+rule, the length-weighted mean over the cell's pieces on a banded one.  The
+shapes differ only in ``stage_cost``'s quadrature of the failure-branch
+error, which is the node sum on a node rule (how the solver's chain is
+defined) and exact over the pieces on a banded one.  The banded shape exists
+because the rearrangement identities demand measure matching far below one
+cell of mass; the solver itself stays on node rules.
 """
 
 from __future__ import annotations
@@ -171,10 +177,15 @@ def variance(belief: BeliefGrid) -> float:
     return float(belief.cell_masses() @ (belief.nodes - m) ** 2)
 
 
+def _cell_bounds(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Left and right edge of every node's cell, clipped to the grid."""
+    nodes, half, E = geometry.nodes(), 0.5 * geometry.spacing, geometry.half_width
+    return np.maximum(nodes - half, -E), np.minimum(nodes + half, E)
+
+
 def outward_mass(belief: BeliefGrid, radius: float) -> float:
     """Mass of {|e| >= radius}, with the density constant on each cell."""
-    lo = np.maximum(belief.nodes - 0.5 * belief.spacing, -belief.half_width)
-    hi = np.minimum(belief.nodes + 0.5 * belief.spacing, belief.half_width)
+    lo, hi = _cell_bounds(belief.geometry)
     pos = np.maximum(0.0, hi - np.maximum(lo, radius))
     neg = np.maximum(0.0, np.minimum(hi, -radius) - lo)
     return float(belief.weights @ (pos + neg))
@@ -196,7 +207,9 @@ class ActionFunction:
     bands, when present, is (radii, band_levels): the rule equals
     band_levels[i] for radii[i-1] <= |e| < radii[i] (the last level extends to
     infinity).  Node values are point samples of that step function; at a
-    switch radius the higher band already applies.
+    switch radius the higher band already applies.  A banded rule also keeps
+    the piece [lo, hi] that band i cuts from cell j on side s (s = 0 for
+    e >= 0), as arrays of shape (2, bands, n_points); lo == hi when empty.
     """
 
     values: np.ndarray
@@ -205,6 +218,9 @@ class ActionFunction:
     bands: tuple[np.ndarray, np.ndarray] | None = None
     enforce: bool = True
     saturated: bool = field(init=False)
+    _pieces: tuple[np.ndarray, np.ndarray] | None = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -236,6 +252,13 @@ class ActionFunction:
             if np.any(np.diff(radii) < 0) or np.any(radii < 0):
                 raise GridGeometryError("band radii must be nonnegative and nondecreasing")
             self.bands = (radii, blevels)
+            cell_lo, cell_hi = _cell_bounds(self.geometry)
+            edges = np.concatenate(([0.0], radii, [2.0 * self.geometry.half_width]))[:, None]
+            pos_lo = np.maximum(cell_lo, edges[:-1])
+            pos_hi = np.maximum(np.minimum(cell_hi, edges[1:]), pos_lo)
+            neg_lo = np.maximum(cell_lo, -edges[1:])
+            neg_hi = np.maximum(np.minimum(cell_hi, -edges[:-1]), neg_lo)
+            self._pieces = (np.stack((pos_lo, neg_lo)), np.stack((pos_hi, neg_hi)))
 
     def value_at(self, e: float) -> float:
         """Rule evaluated at a real innovation (band rule, else nearest node)."""
@@ -271,46 +294,19 @@ def banded_action(
     return ActionFunction(values, action_set, geometry, bands=(radii, band_levels), enforce=enforce)
 
 
-def _band_cell_integrals(
-    belief: BeliefGrid, r_lo: float, r_hi: float, center: float
-) -> tuple[float, float, float]:
-    """Exact (mass, first moment, second moment about center) of the belief
-    restricted to {r_lo <= |e| < r_hi}, density constant per cell."""
-    lo = np.maximum(belief.nodes - 0.5 * belief.spacing, -belief.half_width)
-    hi = np.minimum(belief.nodes + 0.5 * belief.spacing, belief.half_width)
-    w = belief.weights
-
-    def one_side(a_bound: float, b_bound: float) -> tuple[float, float, float]:
-        a = np.maximum(lo, a_bound)
-        b = np.minimum(hi, b_bound)
-        live = b > a
-        a, b, wv = a[live], b[live], w[live]
-        mass = float(wv @ (b - a))
-        m1 = float(wv @ (b * b - a * a)) * 0.5
-        m2 = float(wv @ ((b - center) ** 3 - (a - center) ** 3)) / 3.0
-        return mass, m1, m2
-
-    mp, m1p, m2p = one_side(r_lo, r_hi)
-    mn, m1n, m2n = one_side(-r_hi, -r_lo)
-    return mp + mn, m1p + m1n, m2p + m2n
-
-
-def _band_table(action: ActionFunction, belief: BeliefGrid, center: float = 0.0):
-    """Per-band (level, mass, m1, m2) rows for band-exact integrals."""
-    radii, blevels = action.bands
-    edges = np.concatenate(([0.0], radii, [belief.half_width * 2.0]))
-    rows = []
-    for i, level in enumerate(blevels):
-        m, m1, m2 = _band_cell_integrals(belief, edges[i], edges[i + 1], center)
-        rows.append((float(level), m, m1, m2))
-    return rows
+def _cell_average(action: ActionFunction, per_level) -> np.ndarray:
+    """Per-cell mean of per_level(u) under the rule: its value at the node's
+    level, or on a banded rule its length-weighted mean over the cell's pieces."""
+    if action.bands is None:
+        return per_level(action.values)
+    lo, hi = action._pieces
+    lengths = np.einsum("b,sbj->j", per_level(action.bands[1]), hi - lo)
+    return lengths / action.geometry.cell_widths()
 
 
 def expected_power(belief: BeliefGrid, action: ActionFunction) -> float:
     """Mean transmitted power under the belief."""
-    if action.bands is not None:
-        return sum(level * m for level, m, _, _ in _band_table(action, belief))
-    return float(belief.cell_masses() @ action.values)
+    return float(belief.cell_masses() @ _cell_average(action, lambda u: u))
 
 
 def success_prob(
@@ -318,15 +314,8 @@ def success_prob(
 ) -> float:
     """Probability the packet gets through: reception probability integrated
     against the belief."""
-    if action.bands is not None:
-        phi = sum(
-            reception_prob(reception, level, gain) * m
-            for level, m, _, _ in _band_table(action, belief)
-        )
-    else:
-        q = reception_prob(reception, action.values, gain)
-        phi = float(belief.cell_masses() @ q)
-    return min(max(phi, 0.0), 1.0)
+    q = _cell_average(action, lambda u: reception_prob(reception, u, gain))
+    return min(max(float(belief.cell_masses() @ q), 0.0), 1.0)
 
 
 def post_failure(
@@ -335,7 +324,7 @@ def post_failure(
     """Belief conditioned on a transmission failure.
 
     Requires the failure event to be non-degenerate (success probability below
-    1 - DEGENERATE_SUCCESS_TOL).  On the banded path, the surviving mass of a
+    1 - DEGENERATE_SUCCESS_TOL).  On a banded rule, the surviving mass of a
     cell split by a switch radius is averaged back over the cell, keeping cell
     masses exact.
     """
@@ -344,24 +333,18 @@ def post_failure(
         raise DegenerateSuccessError(
             f"success probability {phi} leaves no failure branch to condition on"
         )
-    if action.bands is not None:
-        radii, blevels = action.bands
-        edges = np.concatenate(([0.0], radii, [belief.half_width * 2.0]))
-        cell_mass = np.zeros(belief.n_points)
-        lo = np.maximum(belief.nodes - 0.5 * belief.spacing, -belief.half_width)
-        hi = np.minimum(belief.nodes + 0.5 * belief.spacing, belief.half_width)
-        for i, level in enumerate(blevels):
-            fail = 1.0 - reception_prob(reception, float(level), gain)
-            for a_b, b_b in ((edges[i], edges[i + 1]), (-edges[i + 1], -edges[i])):
-                a = np.maximum(lo, a_b)
-                b = np.minimum(hi, b_b)
-                gap = np.maximum(b - a, 0.0)
-                cell_mass += fail * belief.weights * gap
-        raw = cell_mass / belief.geometry.cell_widths()
-    else:
-        q = reception_prob(reception, action.values, gain)
-        raw = (1.0 - q) * belief.weights
-    return _renormalized(belief.geometry, raw)
+    fail = _cell_average(action, lambda u: 1.0 - reception_prob(reception, u, gain))
+    return _renormalized(belief.geometry, fail * belief.weights)
+
+
+def _failure_center(belief: BeliefGrid, q_at_nodes: np.ndarray) -> float:
+    """Mean innovation of the failure branch under per-node success
+    probabilities; zero when that branch carries no mass."""
+    fail_w = (1.0 - q_at_nodes) * belief.cell_masses()
+    fail_mass = float(fail_w.sum())
+    if fail_mass < DEGENERATE_SUCCESS_TOL:
+        return 0.0
+    return float(fail_w @ belief.nodes) / fail_mass
 
 
 def propagate(
@@ -435,20 +418,20 @@ def stage_cost(
     alpha = weights.alpha
     power = expected_power(belief, action)
     if action.bands is not None:
-        rows = _band_table(action, belief)
-        fail = [1.0 - reception_prob(reception, level, gain) for level, _, _, _ in rows]
-        fail_mass = sum(f * m for f, (_, m, _, _) in zip(fail, rows))
+        lo, hi = action._pieces
+        fail = 1.0 - reception_prob(reception, action.bands[1], gain)
+        fail_w = fail[:, None] * belief.weights
+        fail_mass = float(np.sum(fail_w * (hi - lo)))
         if fail_mass < DEGENERATE_SUCCESS_TOL:
             return alpha * power
-        e_hat = sum(f * m1 for f, (_, _, m1, _) in zip(fail, rows)) / fail_mass
-        rows = _band_table(action, belief, center=e_hat)
-        distortion = sum(f * m2 for f, (_, _, _, m2) in zip(fail, rows))
+        e_hat = 0.5 * float(np.sum(fail_w * (hi * hi - lo * lo))) / fail_mass
+        b, a = hi - e_hat, lo - e_hat
+        distortion = float(np.sum(fail_w * (b * b * b - a * a * a))) / 3.0
     else:
         q = reception_prob(reception, action.values, gain)
         fail_w = (1.0 - q) * belief.cell_masses()
-        fail_mass = float(fail_w.sum())
-        if fail_mass < DEGENERATE_SUCCESS_TOL:
+        if float(fail_w.sum()) < DEGENERATE_SUCCESS_TOL:
             return alpha * power
-        e_hat = float(fail_w @ belief.nodes) / fail_mass
+        e_hat = _failure_center(belief, q)
         distortion = float(fail_w @ (belief.nodes - e_hat) ** 2)
     return alpha * power + distortion

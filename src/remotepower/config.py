@@ -75,7 +75,27 @@ def merge_config(user: dict) -> dict:
                     f"expected one of {sorted(resolved[section])}"
                 )
             resolved[section][key] = value
+    _check_solver(resolved["solver"])
     return resolved
+
+
+def _check_solver(solver: dict) -> None:
+    """Reject solver entries of the wrong type or range before any solve."""
+
+    def is_int(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    for key in ("depth", "max_rounds"):
+        if not (is_int(solver[key]) and solver[key] >= 1):
+            raise ConfigError(f"solver.{key} must be an integer >= 1, got {solver[key]!r}")
+    tol = solver["tol_rho"]
+    if not (isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol >= 0):
+        raise ConfigError(f"solver.tol_rho must be a number >= 0, got {tol!r}")
+    points = solver["threshold_points"]
+    if points is not None and not (is_int(points) and points >= 2):
+        raise ConfigError(
+            f"solver.threshold_points must be null or an integer >= 2, got {points!r}"
+        )
 
 
 def load_config(path: str | None) -> dict:
@@ -148,18 +168,16 @@ def build_geometry(cfg: dict, problem: ControlProblem | None = None) -> GridGeom
     """Geometry from the grid section; a null half_width invokes the default
     sizing heuristic (which then needs the problem)."""
     grid = cfg["grid"]
-    if grid["half_width"] is None:
-        if problem is None:
-            raise ConfigError("grid.half_width: null requires the model sections")
-        geo = default_geometry(
-            problem, n_points=int(grid["n_points"]), convolution=grid["convolution"]
-        )
-        return geo
+    if grid["half_width"] is None and problem is None:
+        raise ConfigError("grid.half_width: null requires the model sections")
     try:
+        n_points = int(grid["n_points"])
+        if grid["half_width"] is None:
+            return default_geometry(problem, n_points=n_points, convolution=grid["convolution"])
         return GridGeometry(
             half_width=float(grid["half_width"]),
-            n_points=int(grid["n_points"]),
+            n_points=n_points,
             convolution=grid["convolution"],
         )
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(f"invalid grid section: {err}") from err

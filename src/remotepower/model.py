@@ -7,7 +7,6 @@ raising so the CLI can print diagnostics and pick an exit code.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -257,18 +256,6 @@ def validate_stability(
     return report
 
 
-def validate_problem(problem: ControlProblem) -> ValidationReport:
-    """Combined channel + stability validation for one instance."""
-    ch = validate_channel(problem.channel)
-    st = validate_stability(problem.process, problem.channel, problem.reception, problem.actions)
-    report = ValidationReport(ok=ch.ok and st.ok)
-    report.checks.update(ch.checks)
-    report.checks.update(st.checks)
-    report.messages.extend(ch.messages)
-    report.messages.extend(st.messages)
-    return report
-
-
 def stationary_distribution(channel: FadingChannel) -> np.ndarray:
     """Stationary law of the gain chain, by direct linear solve.
 
@@ -286,7 +273,3 @@ def stationary_distribution(channel: FadingChannel) -> np.ndarray:
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
 
-
-def unstable_growth_rate(process: ScalarProcess) -> float:
-    """Per-step log growth of the open-loop error, log|a| (diagnostic)."""
-    return math.log(abs(process.a))

@@ -28,11 +28,12 @@ from .belief import (
     DegenerateSuccessError,
     GridGeometry,
     SupportOverflowError,
+    _failure_center,
     mean as belief_mean,
 )
 from .model import ControlProblem, ScalarProcess, reception_prob
 from .policy import NodeKey, PowerPolicy
-from .solver import _center_of, _HistoryTree
+from .solver import _HistoryTree
 
 logger = logging.getLogger(__name__)
 
@@ -136,7 +137,8 @@ class _StateMemo:
                         "belief propagation failed at failure history %s (%s); "
                         "falling back to closed-form estimates from here on", node, exc)
             else:
-                entry = (li_row, belief_mean(theta), _center_of(theta, self.q_rows[g][li_row]))
+                centre = _failure_center(theta, self.q_rows[g][li_row])
+                entry = (li_row, belief_mean(theta), centre)
         self.rows[(node, g)] = entry
         return entry
 

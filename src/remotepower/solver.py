@@ -33,6 +33,7 @@ from .belief import (
     DegenerateSuccessError,
     GridGeometry,
     SupportOverflowError,
+    _failure_center,
     expected_power,
     gaussian_grid,
     propagate,
@@ -403,14 +404,6 @@ def _mirror(half: np.ndarray) -> np.ndarray:
     return np.concatenate((half[:0:-1], half))
 
 
-def _center_of(belief: BeliefGrid, q_at_nodes: np.ndarray) -> float:
-    fail_w = (1.0 - q_at_nodes) * belief.cell_masses()
-    fail_mass = float(fail_w.sum())
-    if fail_mass < DEGENERATE_SUCCESS_TOL:
-        return 0.0
-    return float(fail_w @ belief.nodes) / fail_mass
-
-
 def _improve_state_rings(
     q_levels: np.ndarray,
     levels: np.ndarray,
@@ -456,7 +449,7 @@ def _improve_state_tabular(
         choice = np.argmin(objective, axis=0)
         choice[outside] = len(levels) - 1
         values = levels[choice]
-        new_center = _center_of(belief, q_levels[choice])
+        new_center = _failure_center(belief, q_levels[choice])
         if abs(new_center - center) < 1e-12:
             break
         center = new_center
@@ -538,7 +531,7 @@ def improve_policy(
                 q_by_gain[g], levels, alpha, cont_gap,
                 problem.actions.saturation_radius, chain.geometry,
             )
-            center = _center_of(belief, q_at_nodes)
+            center = _failure_center(belief, q_at_nodes)
             if abs(center) <= CENTER_SNAP_TOL:
                 rule = extract_threshold_action(node_values, chain.geometry, problem.actions)
                 rules[(node, g)] = rule if rule is not None else node_values
@@ -784,7 +777,7 @@ def structure_witness(
             thr_action = ActionFunction(ring_values, problem.actions, chain.geometry)
             q_thr = state_action_value(chain, s, thr_action, weights, values)
 
-            center = _center_of(belief, q_at)
+            center = _failure_center(belief, q_at)
             tab_values = _improve_state_tabular(
                 belief, q_by_gain[g], levels, weights.alpha, cont_gap, sat, center
             )

@@ -1,10 +1,11 @@
 """Independent reference computations the test suite freezes against.
 
 Everything here is implemented from different primitives than the package:
-closed-form antiderivatives instead of the package's band tables, hand-solved
-stationary distributions instead of sparse eigenproblems, finite-horizon
-dynamic programming instead of policy iteration, and brute-force enumeration
-instead of greedy improvement.  Where package and oracle agree, the agreement
+closed-form antiderivatives summed piece by piece in plain Python instead of
+the package's precomputed piece arrays, hand-solved stationary distributions
+instead of sparse eigenproblems, finite-horizon dynamic programming instead
+of policy iteration, and brute-force enumeration instead of greedy
+improvement.  Where package and oracle agree, the agreement
 is meaningful because they share nothing but the problem definition.
 """
 
@@ -65,6 +66,19 @@ def _pieces(belief, action):
 
 def success_prob_oracle(belief, gain: float, action, reception) -> float:
     return sum(w * (b - a) * q_of(reception, u, gain) for a, b, w, u in _pieces(belief, action))
+
+
+def post_failure_oracle(belief, gain: float, action, reception) -> np.ndarray:
+    """Node weights of the failure-conditioned belief: every piece keeps its
+    failed mass, each cell spreads its pieces' sum evenly back over itself."""
+    E = belief.half_width
+    dx = belief.spacing
+    masses = np.zeros(len(belief.nodes))
+    for a, b, w, u in _pieces(belief, action):
+        j = int(round((0.5 * (a + b) + E) / dx))
+        masses[j] += w * (b - a) * (1.0 - q_of(reception, u, gain))
+    widths = np.array([min(x + 0.5 * dx, E) - max(x - 0.5 * dx, -E) for x in belief.nodes])
+    return masses / widths / masses.sum()
 
 
 def stage_cost_oracle(belief, gain: float, action, reception, alpha: float) -> float:

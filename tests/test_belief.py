@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import stage_cost_oracle, success_prob_oracle
+from oracles import post_failure_oracle, stage_cost_oracle, success_prob_oracle
 from remotepower import (
     ActionSet,
     BeliefGrid,
@@ -285,3 +285,25 @@ def test_conditioning_conserves_mass(center, sigma, r1, r2, gain):
     moved = propagate(theta, gain, a, 0, PROCESS, EXP)
     assert moved.integral() == pytest.approx(1.0, abs=1e-9)
     assert np.all(moved.weights >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "radii, gain",
+    [
+        ((0.012, 2.0, 4.5), 1.3),  # first switch inside the centre cell: dx / 2 = 0.02
+        ((0.01, 0.01, 0.35), 3.0),  # q(u_max, 3) = 1 - 6e-6: failures come from the core
+        ((0.5, 2.0, 3.0), 3.0),
+    ],
+)
+def test_banded_operators_match_piecewise_oracles(radii, gain):
+    theta = mixture(GEOM, [-1.5, 0.8], [1.2, 2.5], np.array([0.4, 0.6]))
+    rule = banded_action(np.array(radii), np.array(ACTS.levels), ACTS, GEOM)
+    weights = CostWeights(alpha=0.7)
+    assert success_prob(theta, gain, rule, EXP) == pytest.approx(
+        success_prob_oracle(theta, gain, rule, EXP), abs=1e-12
+    )
+    assert stage_cost(theta, gain, rule, EXP, weights) == pytest.approx(
+        stage_cost_oracle(theta, gain, rule, EXP, weights.alpha), abs=1e-12
+    )
+    got = post_failure(theta, gain, rule, EXP).weights
+    assert np.max(np.abs(got - post_failure_oracle(theta, gain, rule, EXP))) <= 1e-12

@@ -212,3 +212,20 @@ def test_simulate_rejects_a_nonpositive_replication_count(tiny_cfg_path, solved,
     code = run(["simulate", tiny_cfg_path, "--policy", str(solution_path),
                 "--replications", "0"])
     _assert_one_line_input_error(code, capsys)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"grid": {"half_width": [1]}},
+        {"grid": {"half_width": None, "n_points": None}},
+        {"solver": {"depth": "8"}},
+        {"solver": {"depth": 0}},
+        {"solver": {"max_rounds": 0}},
+        {"solver": {"threshold_points": 1}},
+    ],
+)
+def test_bad_grid_or_solver_values_are_input_errors(tmp_path, capsys, cfg):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    _assert_one_line_input_error(run(["solve", str(path)]), capsys)
