@@ -21,16 +21,34 @@ error, which is the node sum on a node rule (how the solver's chain is
 defined) and exact over the pieces on a banded one.  The banded shape exists
 because the rearrangement identities demand measure matching far below one
 cell of mass; the solver itself stays on node rules.
+
+Three things every belief step needs depend only on fixed inputs, so each is
+computed once and then read:
+
+* the grid arrays of a geometry (nodes, cell widths, cell bounds, the cell
+  edges ``propagate`` pulls back through the plant map), per geometry;
+* the noise kernel, its FFT length and its spectrum, per (geometry, noise
+  variance);
+* a rule's success probability at its levels, per (reception model, gain),
+  kept on the rule.
+
+Each is the array the per-call code used to build, made by the same
+expressions, and the FFT path multiplies the same two spectra through the same
+``rfftn``/``irfftn`` calls that ``scipy.signal.fftconvolve`` makes, so every
+output is bit-identical to computing them afresh.  Cached arrays are
+read-only; ``GridGeometry.nodes()`` and ``cell_widths()`` still return fresh
+ones.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 from .model import ActionSet, CostWeights, ReceptionModel, ScalarProcess, reception_prob
 
@@ -83,6 +101,46 @@ class GridGeometry:
         return w
 
 
+@dataclass(frozen=True)
+class _GridArrays:
+    """Read-only arrays fixed by a geometry: nodes, cell widths, each cell's
+    edges clipped to the grid, and the n_points + 1 cell edges."""
+
+    nodes: np.ndarray
+    cell_w: np.ndarray
+    cell_lo: np.ndarray
+    cell_hi: np.ndarray
+    edges: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_arrays(geometry: GridGeometry) -> _GridArrays:
+    nodes, half, E = geometry.nodes(), 0.5 * geometry.spacing, geometry.half_width
+    arrays = _GridArrays(
+        nodes=nodes,
+        cell_w=geometry.cell_widths(),
+        cell_lo=np.maximum(nodes - half, -E),
+        cell_hi=np.minimum(nodes + half, E),
+        edges=np.concatenate(([-E], nodes[:-1] + half, [E])),
+    )
+    for arr in vars(arrays).values():
+        arr.flags.writeable = False
+    return arrays
+
+
+@functools.lru_cache(maxsize=16)
+def _noise_kernel(geometry: GridGeometry, noise_var: float) -> tuple[np.ndarray, int, np.ndarray]:
+    """Gaussian noise kernel over every node offset, the FFT length of its
+    full convolution with a belief, and its spectrum at that length."""
+    n = geometry.n_points
+    offsets = geometry.spacing * np.arange(-(n - 1), n)
+    kernel = np.exp(-0.5 * offsets**2 / noise_var) / math.sqrt(2.0 * math.pi * noise_var)
+    size = scipy.fft.next_fast_len(3 * n - 2, True)
+    spectrum = scipy.fft.rfftn(kernel, [size], axes=[0])
+    kernel.flags.writeable = spectrum.flags.writeable = False
+    return kernel, size, spectrum
+
+
 class BeliefGrid:
     """Normalized innovation density sampled on a GridGeometry.
 
@@ -103,10 +161,11 @@ class BeliefGrid:
         if np.any(weights < -1e-12):
             raise GridGeometryError("weights must be nonnegative")
         weights = np.maximum(weights, 0.0)
+        grid = _grid_arrays(geometry)
         self.geometry = geometry
         self.weights = weights
-        self.nodes = geometry.nodes()
-        self._cell_w = geometry.cell_widths()
+        self.nodes = grid.nodes
+        self._cell_w = grid.cell_w
         total = float(self._cell_w @ weights)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise GridGeometryError(
@@ -135,7 +194,7 @@ class BeliefGrid:
 
 def _renormalized(geometry: GridGeometry, raw: np.ndarray) -> BeliefGrid:
     raw = np.maximum(np.asarray(raw, dtype=float), 0.0)
-    total = float(geometry.cell_widths() @ raw)
+    total = float(_grid_arrays(geometry).cell_w @ raw)
     if total <= 0:
         raise GridGeometryError("cannot normalize an all-zero density")
     drift = abs(total - 1.0)
@@ -163,7 +222,7 @@ def gaussian_grid(mean: float, var: float, geometry: GridGeometry) -> BeliefGrid
             f"normal({mean}, {var}) leaves {tail:.3e} mass outside [-{E}, {E}]; "
             f"use half_width >= {needed:.2f}"
         )
-    x = geometry.nodes()
+    x = _grid_arrays(geometry).nodes
     w = np.exp(-0.5 * (x - mean) ** 2 / var) / (sigma * math.sqrt(2.0 * math.pi))
     return _renormalized(geometry, w)
 
@@ -177,15 +236,10 @@ def variance(belief: BeliefGrid) -> float:
     return float(belief.cell_masses() @ (belief.nodes - m) ** 2)
 
 
-def _cell_bounds(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """Left and right edge of every node's cell, clipped to the grid."""
-    nodes, half, E = geometry.nodes(), 0.5 * geometry.spacing, geometry.half_width
-    return np.maximum(nodes - half, -E), np.minimum(nodes + half, E)
-
-
 def outward_mass(belief: BeliefGrid, radius: float) -> float:
     """Mass of {|e| >= radius}, with the density constant on each cell."""
-    lo, hi = _cell_bounds(belief.geometry)
+    grid = _grid_arrays(belief.geometry)
+    lo, hi = grid.cell_lo, grid.cell_hi
     pos = np.maximum(0.0, hi - np.maximum(lo, radius))
     neg = np.maximum(0.0, np.minimum(hi, -radius) - lo)
     return float(belief.weights @ (pos + neg))
@@ -210,6 +264,8 @@ class ActionFunction:
     switch radius the higher band already applies.  A banded rule also keeps
     the piece [lo, hi] that band i cuts from cell j on side s (s = 0 for
     e >= 0), as arrays of shape (2, bands, n_points); lo == hi when empty.
+    Success probabilities at the rule's levels are kept per (reception, gain)
+    once asked for, so ``values`` and ``bands`` must not change afterwards.
     """
 
     values: np.ndarray
@@ -220,6 +276,9 @@ class ActionFunction:
     saturated: bool = field(init=False)
     _pieces: tuple[np.ndarray, np.ndarray] | None = field(
         init=False, default=None, repr=False, compare=False
+    )
+    _success: dict[tuple[ReceptionModel, float], np.ndarray] = field(
+        init=False, default_factory=dict, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -232,8 +291,8 @@ class ActionFunction:
             )
         levels = np.asarray(self.action_set.levels)
         member = np.isin(self.values, levels)
-        nodes = self.geometry.nodes()
-        outside = np.abs(nodes) > self.action_set.saturation_radius
+        grid = _grid_arrays(self.geometry)
+        outside = np.abs(grid.nodes) > self.action_set.saturation_radius
         self.saturated = bool(np.all(self.values[outside] == self.action_set.u_max))
         if self.enforce:
             if not member.all():
@@ -252,12 +311,11 @@ class ActionFunction:
             if np.any(np.diff(radii) < 0) or np.any(radii < 0):
                 raise GridGeometryError("band radii must be nonnegative and nondecreasing")
             self.bands = (radii, blevels)
-            cell_lo, cell_hi = _cell_bounds(self.geometry)
             edges = np.concatenate(([0.0], radii, [2.0 * self.geometry.half_width]))[:, None]
-            pos_lo = np.maximum(cell_lo, edges[:-1])
-            pos_hi = np.maximum(np.minimum(cell_hi, edges[1:]), pos_lo)
-            neg_lo = np.maximum(cell_lo, -edges[1:])
-            neg_hi = np.maximum(np.minimum(cell_hi, -edges[:-1]), neg_lo)
+            pos_lo = np.maximum(grid.cell_lo, edges[:-1])
+            pos_hi = np.maximum(np.minimum(grid.cell_hi, edges[1:]), pos_lo)
+            neg_lo = np.maximum(grid.cell_lo, -edges[1:])
+            neg_hi = np.maximum(np.minimum(grid.cell_hi, -edges[:-1]), neg_lo)
             self._pieces = (np.stack((pos_lo, neg_lo)), np.stack((pos_hi, neg_hi)))
 
     def value_at(self, e: float) -> float:
@@ -289,24 +347,42 @@ def banded_action(
     """Symmetric step rule from exact switch radii; node values are point samples."""
     radii = np.asarray(radii, dtype=float)
     band_levels = np.asarray(band_levels, dtype=float)
-    r = np.abs(geometry.nodes())
+    r = np.abs(_grid_arrays(geometry).nodes)
     values = band_levels[np.searchsorted(radii, r, side="right")]
     return ActionFunction(values, action_set, geometry, bands=(radii, band_levels), enforce=enforce)
 
 
-def _cell_average(action: ActionFunction, per_level) -> np.ndarray:
-    """Per-cell mean of per_level(u) under the rule: its value at the node's
-    level, or on a banded rule its length-weighted mean over the cell's pieces."""
+def _levels(action: ActionFunction) -> np.ndarray:
+    """The rule's levels: one per node, or one per band on a banded rule."""
+    return action.values if action.bands is None else action.bands[1]
+
+
+def _level_success(
+    action: ActionFunction, reception: ReceptionModel, gain: float
+) -> np.ndarray:
+    """Success probability at each of the rule's levels, computed once per
+    (reception, gain) and kept on the rule."""
+    key = (reception, gain)
+    q = action._success.get(key)
+    if q is None:
+        q = action._success[key] = reception_prob(reception, _levels(action), gain)
+        q.flags.writeable = False
+    return q
+
+
+def _cell_average(action: ActionFunction, per_level: np.ndarray) -> np.ndarray:
+    """Per-cell mean of a quantity given at the rule's levels: the node's own
+    value, or on a banded rule the length-weighted mean over the cell's pieces."""
     if action.bands is None:
-        return per_level(action.values)
+        return per_level
     lo, hi = action._pieces
-    lengths = np.einsum("b,sbj->j", per_level(action.bands[1]), hi - lo)
-    return lengths / action.geometry.cell_widths()
+    lengths = np.einsum("b,sbj->j", per_level, hi - lo)
+    return lengths / _grid_arrays(action.geometry).cell_w
 
 
 def expected_power(belief: BeliefGrid, action: ActionFunction) -> float:
     """Mean transmitted power under the belief."""
-    return float(belief.cell_masses() @ _cell_average(action, lambda u: u))
+    return float(belief.cell_masses() @ _cell_average(action, _levels(action)))
 
 
 def success_prob(
@@ -314,7 +390,7 @@ def success_prob(
 ) -> float:
     """Probability the packet gets through: reception probability integrated
     against the belief."""
-    q = _cell_average(action, lambda u: reception_prob(reception, u, gain))
+    q = _cell_average(action, _level_success(action, reception, gain))
     return min(max(float(belief.cell_masses() @ q), 0.0), 1.0)
 
 
@@ -333,7 +409,7 @@ def post_failure(
         raise DegenerateSuccessError(
             f"success probability {phi} leaves no failure branch to condition on"
         )
-    fail = _cell_average(action, lambda u: 1.0 - reception_prob(reception, u, gain))
+    fail = _cell_average(action, 1.0 - _level_success(action, reception, gain))
     return _renormalized(belief.geometry, fail * belief.weights)
 
 
@@ -368,30 +444,28 @@ def propagate(
 
     theta_plus = post_failure(belief, gain, action, reception)
     a = process.a
-    E = geometry.half_width
-    dx = geometry.spacing
     n = geometry.n_points
+    grid = _grid_arrays(geometry)
 
     # exact mass projection of the stretched density e -> a*e: the cell-constant
     # CDF is piecewise linear, so pulling target cell edges back through the map
     # keeps masses exact even across the jumps a banded action puts in theta_plus
-    edges = np.concatenate(([-E], belief.nodes[:-1] + 0.5 * dx, [E]))
     cum = np.concatenate(([0.0], np.cumsum(theta_plus.cell_masses())))
-    cdf = np.interp(edges / abs(a), edges, cum, left=0.0, right=float(cum[-1]))
+    cdf = np.interp(grid.edges / abs(a), grid.edges, cum, left=0.0, right=float(cum[-1]))
     weighted = np.diff(cdf)
     if a < 0:
         weighted = weighted[::-1]
 
-    offsets = dx * np.arange(-(n - 1), n)
-    W = process.noise_var
-    kernel = np.exp(-0.5 * offsets**2 / W) / math.sqrt(2.0 * math.pi * W)
-
+    kernel, size, spectrum = _noise_kernel(geometry, process.noise_var)
     if geometry.convolution == "fft":
-        raw = fftconvolve(weighted, kernel, mode="valid")
+        # the "valid" part of the full linear convolution, as fftconvolve takes it
+        full = scipy.fft.irfftn(spectrum * scipy.fft.rfftn(weighted, [size], axes=[0]),
+                                [size], axes=[0])
+        raw = full[n - 1 : 2 * n - 1]
     else:
         raw = np.convolve(weighted, kernel, mode="valid")
 
-    escaped = 1.0 - float(geometry.cell_widths() @ np.maximum(raw, 0.0))
+    escaped = 1.0 - float(grid.cell_w @ np.maximum(raw, 0.0))
     if escaped > SUPPORT_OVERFLOW_TOL:
         raise SupportOverflowError(
             f"{escaped:.3e} of the propagated belief escaped [-{geometry.half_width}, "
@@ -417,10 +491,10 @@ def stage_cost(
     """
     alpha = weights.alpha
     power = expected_power(belief, action)
+    q = _level_success(action, reception, gain)
     if action.bands is not None:
         lo, hi = action._pieces
-        fail = 1.0 - reception_prob(reception, action.bands[1], gain)
-        fail_w = fail[:, None] * belief.weights
+        fail_w = (1.0 - q)[:, None] * belief.weights
         fail_mass = float(np.sum(fail_w * (hi - lo)))
         if fail_mass < DEGENERATE_SUCCESS_TOL:
             return alpha * power
@@ -428,7 +502,6 @@ def stage_cost(
         b, a = hi - e_hat, lo - e_hat
         distortion = float(np.sum(fail_w * (b * b * b - a * a * a))) / 3.0
     else:
-        q = reception_prob(reception, action.values, gain)
         fail_w = (1.0 - q) * belief.cell_masses()
         if float(fail_w.sum()) < DEGENERATE_SUCCESS_TOL:
             return alpha * power

@@ -24,7 +24,14 @@ from .belief import (
     propagate,
     stage_cost,
 )
-from .config import ConfigError, build_geometry, build_problem, default_config, load_config
+from .config import (
+    ConfigError,
+    _is_int,
+    build_geometry,
+    build_problem,
+    default_config,
+    load_config,
+)
 from .model import (
     ControlProblem,
     ModelError,
@@ -34,7 +41,7 @@ from .model import (
 )
 from .policy import PowerPolicy, ThresholdAction, check_symmetric_monotone
 from .rearrange import random_relation_pair, rearranged_action, relation_R
-from .simulator import replicate, simulate
+from .simulator import replicate
 from .solver import (
     ChainStructureError,
     build_chain,
@@ -267,10 +274,9 @@ def _cmd_simulate(args) -> int:
     seed = sim["base_seed"] if args.seed is None else args.seed
     reps = sim["replications"] if args.replications is None else args.replications
     estimator = sim["estimator"] if args.estimator is None else args.estimator
-    if horizon < 1:
-        raise ConfigError(f"simulate horizon must be positive, got {horizon}")
-    if reps < 1:
-        raise ConfigError(f"simulate replications must be positive, got {reps}")
+    for name, value in (("horizon", horizon), ("replications", reps)):
+        if not (_is_int(value) and value >= 1):
+            raise ConfigError(f"simulate {name} must be an integer >= 1, got {value!r}")
     cfg["simulate"].update(
         {"horizon": horizon, "base_seed": seed, "replications": reps, "estimator": estimator}
     )
@@ -286,23 +292,10 @@ def _cmd_simulate(args) -> int:
         estimator_mode=estimator,
         depth=cfg["solver"]["depth"],
         window=sim["window"],
+        _trace=None if args.trace is None else (args.trace, _config_comment(cfg, seed)),
     )
     payload = {"config": cfg, "seed": seed, "metrics": summary.to_dict()}
     _emit_json(payload, args.output)
-    if args.trace is not None:
-        simulate(
-            problem,
-            geometry,
-            policy,
-            estimator,
-            horizon,
-            seed,
-            depth=cfg["solver"]["depth"],
-            replication=0,
-            window=sim["window"],
-            trace_path=args.trace,
-            trace_comment=_config_comment(cfg, seed),
-        )
     return EXIT_OK
 
 

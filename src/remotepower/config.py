@@ -79,20 +79,21 @@ def merge_config(user: dict) -> dict:
     return resolved
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer (a bool is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_solver(solver: dict) -> None:
     """Reject solver entries of the wrong type or range before any solve."""
-
-    def is_int(value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool)
-
     for key in ("depth", "max_rounds"):
-        if not (is_int(solver[key]) and solver[key] >= 1):
+        if not (_is_int(solver[key]) and solver[key] >= 1):
             raise ConfigError(f"solver.{key} must be an integer >= 1, got {solver[key]!r}")
     tol = solver["tol_rho"]
     if not (isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol >= 0):
         raise ConfigError(f"solver.tol_rho must be a number >= 0, got {tol!r}")
     points = solver["threshold_points"]
-    if points is not None and not (is_int(points) and points >= 2):
+    if points is not None and not (_is_int(points) and points >= 2):
         raise ConfigError(
             f"solver.threshold_points must be null or an integer >= 2, got {points!r}"
         )
@@ -115,6 +116,9 @@ def load_config(path: str | None) -> dict:
 
 
 def build_problem(cfg: dict) -> ControlProblem:
+    index = cfg["channel"]["initial_gain_index"]
+    if not _is_int(index):
+        raise ConfigError(f"channel.initial_gain_index must be an integer, got {index!r}")
     try:
         process = ScalarProcess(
             a=float(cfg["process"]["a"]),
@@ -126,7 +130,7 @@ def build_problem(cfg: dict) -> ControlProblem:
             transition=tuple(
                 tuple(float(p) for p in row) for row in cfg["channel"]["transition"]
             ),
-            initial_gain_index=int(cfg["channel"]["initial_gain_index"]),
+            initial_gain_index=index,
         )
         rc = cfg["reception"]
         reception = ReceptionModel(
@@ -170,8 +174,10 @@ def build_geometry(cfg: dict, problem: ControlProblem | None = None) -> GridGeom
     grid = cfg["grid"]
     if grid["half_width"] is None and problem is None:
         raise ConfigError("grid.half_width: null requires the model sections")
+    n_points = grid["n_points"]
+    if not _is_int(n_points):
+        raise ConfigError(f"grid.n_points must be an integer, got {n_points!r}")
     try:
-        n_points = int(grid["n_points"])
         if grid["half_width"] is None:
             return default_geometry(problem, n_points=n_points, convolution=grid["convolution"])
         return GridGeometry(

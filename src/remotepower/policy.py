@@ -15,7 +15,14 @@ from typing import Union
 
 import numpy as np
 
-from .belief import ActionFunction, BeliefGrid, GridGeometry, banded_action, constant_action
+from .belief import (
+    ActionFunction,
+    BeliefGrid,
+    GridGeometry,
+    _grid_arrays,
+    banded_action,
+    constant_action,
+)
 from .model import ActionSet
 from .rearrange import rearranged_action, symmetric_decreasing_rearrangement
 
@@ -71,7 +78,7 @@ class ThresholdAction:
         radii = np.asarray(self.thresholds, dtype=float)
         if banded:
             return banded_action(radii, np.asarray(action_set.levels), action_set, geometry)
-        half = geometry.nodes()[geometry.n_points // 2 :]
+        half = _grid_arrays(geometry).nodes[geometry.n_points // 2 :]
         levels = np.asarray(action_set.levels)
         right = levels[np.searchsorted(radii, half, side="right")]
         values = np.concatenate((right[:0:-1], right))
@@ -154,7 +161,7 @@ def extract_threshold_action(
     right = v[geometry.n_points // 2 :]
     if np.any(np.diff(right) < 0):
         return None
-    r = geometry.nodes()[geometry.n_points // 2 :]
+    r = _grid_arrays(geometry).nodes[geometry.n_points // 2 :]
     radii: list[float] = []
     for level in action_set.levels[1:]:
         hits = np.nonzero(right >= level)[0]

@@ -343,12 +343,15 @@ class ReplicationSummary:
 
 
 def _replicate_worker(args) -> list[TrajectoryMetrics]:
-    problem, geometry, policy, estimator_mode, horizon, base_seed, reps, depth, window = args
+    (problem, geometry, policy, estimator_mode, horizon, base_seed, reps, depth, window,
+     trace) = args
     memo = _StateMemo(problem, geometry, policy, depth, estimator_mode == "belief_mean")
+    trace_path, trace_comment = trace or (None, None)
     return [
         simulate(
             problem, geometry, policy, estimator_mode, horizon, base_seed,
-            depth=depth, replication=r, window=window, _memo=memo,
+            depth=depth, replication=r, window=window,
+            trace_path=trace_path if r == 0 else None, trace_comment=trace_comment, _memo=memo,
         )
         for r in reps
     ]
@@ -366,13 +369,15 @@ def replicate(
     estimator_mode: str = "closed_form",
     depth: int = 8,
     window: int = 100_000,
+    _trace: tuple[str, list[str]] | None = None,
 ) -> ReplicationSummary:
     """Run independent replications and aggregate in replication order.
 
     Replication r draws from streams keyed by (base_seed, r), so the summary
     is bit-identical for any thread count; threads only change wall time.
     Each process runs a contiguous block of replications on one shared
-    failure-history tree.
+    failure-history tree.  `_trace` = (path, comment lines) writes
+    replication 0's per-step CSV while that replication runs.
     """
     if replications < 1:
         raise ValueError("need at least one replication")
@@ -380,7 +385,7 @@ def replicate(
     cuts = [replications * k // n_jobs for k in range(n_jobs + 1)]
     jobs = [
         (problem, geometry, policy, estimator_mode, horizon, base_seed, range(lo, hi),
-         depth, window)
+         depth, window, _trace)
         for lo, hi in zip(cuts, cuts[1:])
     ]
     if n_jobs == 1:

@@ -34,6 +34,7 @@ from .belief import (
     GridGeometry,
     SupportOverflowError,
     _failure_center,
+    _grid_arrays,
     expected_power,
     gaussian_grid,
     propagate,
@@ -396,7 +397,7 @@ def evaluate_policy(chain: UnfoldedChain, weights: CostWeights) -> EvaluationRes
 
 def _ring_quantities(geometry: GridGeometry):
     m = geometry.n_points // 2
-    radii = geometry.nodes()[m:]
+    radii = _grid_arrays(geometry).nodes[m:]
     return m, radii
 
 

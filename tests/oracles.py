@@ -15,12 +15,14 @@ import math
 from itertools import combinations_with_replacement, product
 
 import numpy as np
+from scipy.signal import fftconvolve
 
 from remotepower import (
     PowerPolicy,
     ThresholdAction,
     build_chain,
     evaluate_policy,
+    post_failure,
 )
 
 
@@ -93,6 +95,30 @@ def stage_cost_oracle(belief, gain: float, action, reception, alpha: float) -> f
     e_hat = m1 / m0
     dist = sum(fw * ((b - e_hat) ** 3 - (a - e_hat) ** 3) / 3.0 for a, b, fw in fail)
     return alpha * power + dist
+
+
+def propagate_fftconvolve(belief, gain: float, action, process, reception) -> np.ndarray:
+    """Node weights after a failed transmission, with every grid array and the
+    noise kernel built afresh and the convolution done by
+    scipy.signal.fftconvolve: the package's propagate before it kept the
+    kernel spectrum."""
+    E = belief.half_width
+    dx = belief.spacing
+    n = len(belief.weights)
+    nodes = np.linspace(-E, E, n)
+    cell_w = np.full(n, dx)
+    cell_w[0] = cell_w[-1] = 0.5 * dx
+    theta_plus = post_failure(belief, gain, action, reception)
+    edges = np.concatenate(([-E], nodes[:-1] + 0.5 * dx, [E]))
+    cum = np.concatenate(([0.0], np.cumsum(cell_w * theta_plus.weights)))
+    cdf = np.interp(edges / abs(process.a), edges, cum, left=0.0, right=float(cum[-1]))
+    weighted = np.diff(cdf)
+    if process.a < 0:
+        weighted = weighted[::-1]
+    W = process.noise_var
+    kernel = np.exp(-0.5 * (dx * np.arange(-(n - 1), n)) ** 2 / W) / math.sqrt(2.0 * math.pi * W)
+    raw = np.maximum(fftconvolve(weighted, kernel, mode="valid"), 0.0)
+    return raw / float(cell_w @ raw)
 
 
 def three_state_average_cost(phis, costs) -> float:

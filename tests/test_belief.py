@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import post_failure_oracle, stage_cost_oracle, success_prob_oracle
+from oracles import (
+    post_failure_oracle,
+    propagate_fftconvolve,
+    stage_cost_oracle,
+    success_prob_oracle,
+)
 from remotepower import (
+    ActionFunction,
     ActionSet,
     BeliefGrid,
     CostWeights,
@@ -26,6 +32,7 @@ from remotepower import (
     outward_mass,
     post_failure,
     propagate,
+    reception_prob,
     stage_cost,
     success_prob,
     variance,
@@ -307,3 +314,64 @@ def test_banded_operators_match_piecewise_oracles(radii, gain):
     )
     got = post_failure(theta, gain, rule, EXP).weights
     assert np.max(np.abs(got - post_failure_oracle(theta, gain, rule, EXP))) <= 1e-12
+
+
+FFT_GEOM = GridGeometry(half_width=12.0, n_points=601, convolution="fft")
+
+
+def _fft_rules():
+    banded = banded_action([0.8, 2.0, 3.5], [0.0, 1.0, 2.0, 4.0], ACTS, FFT_GEOM)
+    node = ActionFunction(banded.values, ACTS, FFT_GEOM)
+    return {"node": node, "banded": banded}
+
+
+@pytest.mark.parametrize("a", [1.2, -1.2])
+@pytest.mark.parametrize("shape", ["node", "banded"])
+def test_propagate_fft_equals_fftconvolve_exactly(a, shape):
+    theta = mixture(FFT_GEOM, [-2.0, 1.0], [0.7, 1.2], np.array([0.3, 0.7]))
+    process = ScalarProcess(a=a, noise_var=1.0)
+    rule = _fft_rules()[shape]
+    got = propagate(theta, 0.5, rule, 0, process, EXP).weights
+    assert np.array_equal(got, propagate_fftconvolve(theta, 0.5, rule, process, EXP))
+
+
+def test_noise_kernel_is_kept_per_noise_variance():
+    """One geometry, two noise variances, queried in turn: each propagation
+    matches its own fresh convolution."""
+    theta = mixture(FFT_GEOM, [-1.0, 1.5], [0.8, 1.0])
+    rule = _fft_rules()["node"]
+    outs = {}
+    for W in (1.0, 0.25, 1.0, 0.25):
+        process = ScalarProcess(a=1.2, noise_var=W)
+        got = propagate(theta, 2.0, rule, 0, process, EXP).weights
+        assert np.array_equal(got, propagate_fftconvolve(theta, 2.0, rule, process, EXP))
+        outs[W] = got
+    assert not np.array_equal(outs[1.0], outs[0.25])
+
+
+def test_cached_grid_arrays_are_read_only():
+    theta = gaussian_grid(0.0, 1.0, GEOM)
+    with pytest.raises(ValueError):
+        theta.nodes[0] = 0.0
+    fresh = GEOM.nodes()
+    fresh[0] = 0.0  # the public accessors still hand out private copies
+    widths = GEOM.cell_widths()
+    widths[0] = 0.0
+    assert gaussian_grid(0.0, 1.0, GEOM).nodes[0] == -GEOM.half_width
+    assert gaussian_grid(0.0, 1.0, GEOM).integral() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_one_rule_at_both_gains_matches_fresh_reception():
+    """A rule keeps its success vector per gain; asking at one gain must not
+    answer for the other."""
+    theta = mixture(GEOM, [-1.0, 2.0], [0.8, 1.1])
+    rule = ActionFunction(
+        banded_action([0.5, 1.5, 3.0], [0.0, 1.0, 2.0, 4.0], ACTS, GEOM).values, ACTS, GEOM
+    )
+    for gain in (0.5, 2.0, 0.5, 2.0):
+        q = reception_prob(EXP, rule.values, gain)
+        want = min(max(float(theta.cell_masses() @ q), 0.0), 1.0)
+        assert success_prob(theta, gain, rule, EXP) == want
+        fail = (1.0 - q) * theta.weights
+        want_w = fail / float(theta.cell_masses() @ (1.0 - q))
+        assert np.max(np.abs(post_failure(theta, gain, rule, EXP).weights - want_w)) <= 1e-12

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import remotepower.cli as cli
+import remotepower.simulator as simulator
 from conftest import TINY_CONFIG
 from remotepower import DEFAULT_CONFIG
 from remotepower.cli import run
@@ -229,3 +231,83 @@ def test_bad_grid_or_solver_values_are_input_errors(tmp_path, capsys, cfg):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
     _assert_one_line_input_error(run(["solve", str(path)]), capsys)
+
+
+def _tiny_config_with(tmp_path, section: str, entries: dict) -> str:
+    cfg = dict(TINY_CONFIG)
+    cfg[section] = {**TINY_CONFIG.get(section, {}), **entries}
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [{"horizon": "100"}, {"horizon": 100.5}, {"replications": 2.0}, {"replications": True}],
+)
+def test_simulate_rejects_non_integer_counts(tmp_path, solved, capsys, entries):
+    solution_path, _ = solved
+    path = _tiny_config_with(tmp_path, "simulate", entries)
+    code = run(["simulate", path, "--policy", str(solution_path)])
+    _assert_one_line_input_error(code, capsys)
+
+
+@pytest.mark.parametrize(
+    "section, entries",
+    [
+        ("grid", {"n_points": 401.9}),
+        ("grid", {"n_points": True}),
+        ("channel", {"initial_gain_index": 0.0}),
+        ("channel", {"initial_gain_index": "0"}),
+    ],
+)
+def test_grid_size_and_gain_index_must_be_integers(tmp_path, capsys, section, entries):
+    path = _tiny_config_with(tmp_path, section, entries)
+    _assert_one_line_input_error(run(["solve", path]), capsys)
+
+
+def test_simulate_trace_comes_from_the_one_run_of_replication_zero(
+    tiny_cfg_path, tmp_path, solved, capsys, monkeypatch
+):
+    runs = []
+    real = simulator.simulate
+
+    def counting(*args, **kwargs):
+        runs.append(kwargs.get("replication", 0))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "simulate", counting)
+    monkeypatch.setattr(cli, "simulate", counting, raising=False)
+    solution_path, _ = solved
+    out = tmp_path / "metrics.json"
+    trace = tmp_path / "trace.csv"
+    code = run([
+        "simulate", tiny_cfg_path, "--policy", str(solution_path), "--horizon", "400",
+        "--replications", "3", "--seed", "5", "-o", str(out), "--trace", str(trace),
+    ])
+    capsys.readouterr()
+    assert code == 0
+    assert sorted(runs) == [0, 1, 2]
+    rows = [line.split(",") for line in trace.read_text().splitlines()[3:]]
+    cost = 0.0
+    for row in rows:
+        cost += float(row[8]) + float(row[9])
+    metrics = json.loads(out.read_text())["metrics"]
+    assert cost / 400 == metrics["per_replication"][0]["avg_cost"]
+
+
+def test_simulate_trace_is_thread_count_invariant(tiny_cfg_path, tmp_path, solved, capsys):
+    solution_path, _ = solved
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"metrics{threads}.json"
+        trace = tmp_path / f"trace{threads}.csv"
+        code = run([
+            "simulate", tiny_cfg_path, "--policy", str(solution_path), "--horizon", "400",
+            "--replications", "3", "--seed", "5", "--threads", threads,
+            "-o", str(out), "--trace", str(trace),
+        ])
+        assert code == 0
+        outputs.append((out.read_bytes(), trace.read_bytes()))
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
