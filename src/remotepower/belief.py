@@ -38,6 +38,18 @@ expressions, and the FFT path multiplies the same two spectra through the same
 output is bit-identical to computing them afresh.  Cached arrays are
 read-only; ``GridGeometry.nodes()`` and ``cell_widths()`` still return fresh
 ones.
+
+There is one belief step after a miss, and it takes many rows at once: the
+failure-history tree sends every child of a tree level through it, in blocks
+of ``_BLOCK_ROWS`` rows, and ``propagate`` is its one-row case.  Per row it
+conditions on the miss and checks the result; per block it takes the row
+cumulative sums, pulls each row back through the plant map, and convolves
+all rows with the noise kernel in one ``rfftn``/``irfftn`` pair over the row
+axis; per row again it checks the escaped mass and normalizes.  Every row
+sees the same operations in the same order as a lone belief would, dot
+products included, so a row's result does not depend on its block.  A row
+that fails gets its error in place of a belief and the others go on.  The
+block size is fixed: larger blocks cost more memory and no less time per row.
 """
 
 from __future__ import annotations
@@ -58,6 +70,13 @@ NORMALIZATION_TOL = 1e-9
 GAUSSIAN_TAIL_TOL = 1e-8
 SUPPORT_OVERFLOW_TOL = 1e-6
 DEGENERATE_SUCCESS_TOL = 1e-12
+
+# Rows per batched belief step.  Stepping the 256 beliefs of one level of the
+# default depth-8 tree (4001-point grid, 2-vCPU Xeon VM with 2 MB of L2 per
+# core) took a median 0.45 ms a row in blocks of 8 or 16 rows, 0.55 ms in
+# blocks of 32 and 0.75 ms one row at a time; temporaries grow with the block,
+# about 4.5 MB at 16 rows and 71 MB at 256.
+_BLOCK_ROWS = 16
 
 
 class GridGeometryError(ValueError):
@@ -435,43 +454,86 @@ def propagate(
 
     Success resets the innovation to pure process noise.  Failure conditions
     on the miss, pushes the density through the plant map e -> a*e, and
-    convolves with the noise kernel.  Mass escaping the grid beyond
-    SUPPORT_OVERFLOW_TOL raises instead of being silently renormalized away.
+    convolves with the noise kernel (the one-row case of the batched step).
+    Mass escaping the grid beyond SUPPORT_OVERFLOW_TOL raises instead of being
+    silently renormalized away.
     """
-    geometry = belief.geometry
     if received:
-        return gaussian_grid(0.0, process.noise_var, geometry)
+        return gaussian_grid(0.0, process.noise_var, belief.geometry)
+    (got,) = _propagate_rows([(belief, gain, action)], process, reception)
+    if isinstance(got, ValueError):
+        raise got
+    return got
 
-    theta_plus = post_failure(belief, gain, action, reception)
-    a = process.a
+
+def _propagate_rows(
+    rows: list[tuple[BeliefGrid, float, ActionFunction]],
+    process: ScalarProcess,
+    reception: ReceptionModel,
+) -> list[BeliefGrid | ValueError]:
+    """Beliefs after a missed transmission, one per (belief, gain, rule) row,
+    all on one geometry, taken _BLOCK_ROWS rows at a time.  A row whose step
+    fails gets its error in place of a belief; the other rows go on."""
+    out: list[BeliefGrid | ValueError] = []
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        out += _propagate_block(rows[lo : lo + _BLOCK_ROWS], process, reception)
+    return out
+
+
+def _propagate_block(
+    rows: list[tuple[BeliefGrid, float, ActionFunction]],
+    process: ScalarProcess,
+    reception: ReceptionModel,
+) -> list[BeliefGrid | ValueError]:
+    geometry = rows[0][0].geometry
     n = geometry.n_points
     grid = _grid_arrays(geometry)
+    out: list = [None] * len(rows)
+    live: list[int] = []
+    conditioned: list[np.ndarray] = []
+    for r, (belief, gain, action) in enumerate(rows):
+        try:
+            conditioned.append(post_failure(belief, gain, action, reception).weights)
+        except (DegenerateSuccessError, GridGeometryError) as err:
+            out[r] = err
+        else:
+            live.append(r)
+    if not live:
+        return out
 
     # exact mass projection of the stretched density e -> a*e: the cell-constant
     # CDF is piecewise linear, so pulling target cell edges back through the map
     # keeps masses exact even across the jumps a banded action puts in theta_plus
-    cum = np.concatenate(([0.0], np.cumsum(theta_plus.cell_masses())))
-    cdf = np.interp(grid.edges / abs(a), grid.edges, cum, left=0.0, right=float(cum[-1]))
-    weighted = np.diff(cdf)
-    if a < 0:
-        weighted = weighted[::-1]
+    cum = np.zeros((len(live), n + 1))
+    np.cumsum(grid.cell_w * np.array(conditioned), axis=1, out=cum[:, 1:])
+    pulled = grid.edges / abs(process.a)
+    cdf = np.array([np.interp(pulled, grid.edges, c, left=0.0, right=float(c[-1])) for c in cum])
+    weighted = np.diff(cdf, axis=1)
+    if process.a < 0:
+        weighted = weighted[:, ::-1]
 
     kernel, size, spectrum = _noise_kernel(geometry, process.noise_var)
     if geometry.convolution == "fft":
         # the "valid" part of the full linear convolution, as fftconvolve takes it
-        full = scipy.fft.irfftn(spectrum * scipy.fft.rfftn(weighted, [size], axes=[0]),
-                                [size], axes=[0])
-        raw = full[n - 1 : 2 * n - 1]
+        full = scipy.fft.irfftn(spectrum * scipy.fft.rfftn(weighted, [size], axes=[1]),
+                                [size], axes=[1])
+        raw = full[:, n - 1 : 2 * n - 1]
     else:
-        raw = np.convolve(weighted, kernel, mode="valid")
+        raw = [np.convolve(w, kernel, mode="valid") for w in weighted]
 
-    escaped = 1.0 - float(grid.cell_w @ np.maximum(raw, 0.0))
-    if escaped > SUPPORT_OVERFLOW_TOL:
-        raise SupportOverflowError(
-            f"{escaped:.3e} of the propagated belief escaped [-{geometry.half_width}, "
-            f"{geometry.half_width}]; enlarge the grid half_width"
-        )
-    return _renormalized(geometry, raw)
+    for r, raw_row in zip(live, raw):
+        escaped = 1.0 - float(grid.cell_w @ np.maximum(raw_row, 0.0))
+        if escaped > SUPPORT_OVERFLOW_TOL:
+            out[r] = SupportOverflowError(
+                f"{escaped:.3e} of the propagated belief escaped [-{geometry.half_width}, "
+                f"{geometry.half_width}]; enlarge the grid half_width"
+            )
+            continue
+        try:
+            out[r] = _renormalized(geometry, raw_row)
+        except GridGeometryError as err:
+            out[r] = err
+    return out
 
 
 def stage_cost(
@@ -502,9 +564,17 @@ def stage_cost(
         b, a = hi - e_hat, lo - e_hat
         distortion = float(np.sum(fail_w * (b * b * b - a * a * a))) / 3.0
     else:
-        fail_w = (1.0 - q) * belief.cell_masses()
-        if float(fail_w.sum()) < DEGENERATE_SUCCESS_TOL:
-            return alpha * power
-        e_hat = _failure_center(belief, q)
-        distortion = float(fail_w @ (belief.nodes - e_hat) ** 2)
+        distortion = _node_distortion(belief.cell_masses(), q, belief.nodes)
     return alpha * power + distortion
+
+
+def _node_distortion(masses: np.ndarray, q: np.ndarray, nodes: np.ndarray) -> float:
+    """Squared error about the failure-branch mean of a node rule with
+    per-node success probabilities q, in the node-sum quadrature; zero when
+    the failure branch carries no mass."""
+    fail_w = (1.0 - q) * masses
+    fail_mass = float(fail_w.sum())
+    if fail_mass < DEGENERATE_SUCCESS_TOL:
+        return 0.0
+    e_hat = float(fail_w @ nodes) / fail_mass
+    return float(fail_w @ (nodes - e_hat) ** 2)

@@ -26,7 +26,7 @@ from .belief import (
 )
 from .config import (
     ConfigError,
-    _is_int,
+    _is_number,
     build_geometry,
     build_problem,
     default_config,
@@ -275,7 +275,7 @@ def _cmd_simulate(args) -> int:
     reps = sim["replications"] if args.replications is None else args.replications
     estimator = sim["estimator"] if args.estimator is None else args.estimator
     for name, value in (("horizon", horizon), ("replications", reps)):
-        if not (_is_int(value) and value >= 1):
+        if not (_is_number(value, int) and value >= 1):
             raise ConfigError(f"simulate {name} must be an integer >= 1, got {value!r}")
     cfg["simulate"].update(
         {"horizon": horizon, "base_seed": seed, "replications": reps, "estimator": estimator}

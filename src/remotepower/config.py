@@ -79,21 +79,34 @@ def merge_config(user: dict) -> dict:
     return resolved
 
 
-def _is_int(value) -> bool:
-    """True for a JSON integer (a bool is not one)."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _is_number(value, kind: type | tuple[type, ...] = (int, float)) -> bool:
+    """True for a JSON number, or for a JSON integer with kind=int; a bool is
+    neither."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _number(value, name: str) -> float:
+    if not _is_number(value):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, name: str) -> tuple[float, ...]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(_number(v, f"{name}[{k}]") for k, v in enumerate(values))
 
 
 def _check_solver(solver: dict) -> None:
     """Reject solver entries of the wrong type or range before any solve."""
     for key in ("depth", "max_rounds"):
-        if not (_is_int(solver[key]) and solver[key] >= 1):
+        if not (_is_number(solver[key], int) and solver[key] >= 1):
             raise ConfigError(f"solver.{key} must be an integer >= 1, got {solver[key]!r}")
     tol = solver["tol_rho"]
-    if not (isinstance(tol, (int, float)) and not isinstance(tol, bool) and tol >= 0):
+    if not (_is_number(tol) and tol >= 0):
         raise ConfigError(f"solver.tol_rho must be a number >= 0, got {tol!r}")
     points = solver["threshold_points"]
-    if points is not None and not (_is_int(points) and points >= 2):
+    if points is not None and not (_is_number(points, int) and points >= 2):
         raise ConfigError(
             f"solver.threshold_points must be null or an integer >= 2, got {points!r}"
         )
@@ -116,37 +129,42 @@ def load_config(path: str | None) -> dict:
 
 
 def build_problem(cfg: dict) -> ControlProblem:
+    """Model objects from the resolved sections; every real-valued entry must
+    be a JSON number (not a string or a bool) and every index a JSON integer."""
     index = cfg["channel"]["initial_gain_index"]
-    if not _is_int(index):
+    if not _is_number(index, int):
         raise ConfigError(f"channel.initial_gain_index must be an integer, got {index!r}")
+    pc, ch, rc, ac = cfg["process"], cfg["channel"], cfg["reception"], cfg["actions"]
+    transition = ch["transition"]
+    if not isinstance(transition, list):
+        raise ConfigError(f"channel.transition must be a list of rows, got {transition!r}")
     try:
         process = ScalarProcess(
-            a=float(cfg["process"]["a"]),
-            noise_var=float(cfg["process"]["noise_var"]),
-            init_var=float(cfg["process"]["init_var"]),
+            a=_number(pc["a"], "process.a"),
+            noise_var=_number(pc["noise_var"], "process.noise_var"),
+            init_var=_number(pc["init_var"], "process.init_var"),
         )
         channel = FadingChannel(
-            gains=tuple(float(g) for g in cfg["channel"]["gains"]),
+            gains=_numbers(ch["gains"], "channel.gains"),
             transition=tuple(
-                tuple(float(p) for p in row) for row in cfg["channel"]["transition"]
+                _numbers(row, f"channel.transition[{k}]") for k, row in enumerate(transition)
             ),
             initial_gain_index=index,
         )
-        rc = cfg["reception"]
+        on_level = rc["on_level"]
         reception = ReceptionModel(
             form=rc["form"],
-            scale=float(rc["scale"]),
-            on_level=None if rc["on_level"] is None else float(rc["on_level"]),
-            on_prob=float(rc["on_prob"]),
+            scale=_number(rc["scale"], "reception.scale"),
+            on_level=None if on_level is None else _number(on_level, "reception.on_level"),
+            on_prob=_number(rc["on_prob"], "reception.on_prob"),
         )
-        ac = cfg["actions"]
         actions = ActionSet(
-            levels=tuple(float(u) for u in ac["levels"]),
-            saturation_radius=float(ac["saturation_radius"]),
+            levels=_numbers(ac["levels"], "actions.levels"),
+            saturation_radius=_number(ac["saturation_radius"], "actions.saturation_radius"),
         )
-        cost = CostWeights(alpha=float(cfg["cost"]["alpha"]))
+        cost = CostWeights(alpha=_number(cfg["cost"]["alpha"], "cost.alpha"))
     except (KeyError, TypeError, ValueError) as err:
-        if isinstance(err, ModelError):
+        if isinstance(err, (ModelError, ConfigError)):
             raise
         raise ConfigError(f"invalid config value: {err}") from err
     return ControlProblem(process, channel, reception, actions, cost)
@@ -175,13 +193,13 @@ def build_geometry(cfg: dict, problem: ControlProblem | None = None) -> GridGeom
     if grid["half_width"] is None and problem is None:
         raise ConfigError("grid.half_width: null requires the model sections")
     n_points = grid["n_points"]
-    if not _is_int(n_points):
+    if not _is_number(n_points, int):
         raise ConfigError(f"grid.n_points must be an integer, got {n_points!r}")
     try:
         if grid["half_width"] is None:
             return default_geometry(problem, n_points=n_points, convolution=grid["convolution"])
         return GridGeometry(
-            half_width=float(grid["half_width"]),
+            half_width=_number(grid["half_width"], "grid.half_width"),
             n_points=n_points,
             convolution=grid["convolution"],
         )

@@ -8,8 +8,8 @@ plant state itself is only materialized when a trace file is requested.
 Policy lookups snap the innovation to the nearest grid node before applying
 the rule, so a rollout exercises exactly the decision function the chain
 evaluates, not an off-grid variant of it.  Rules and beliefs are read from the
-solver's failure-history tree, the one the chain build reads, filled only at
-the nodes a rollout visits.
+solver's failure-history tree, the one the chain build reads, filled only down
+to the deepest level a rollout visits.
 """
 
 from __future__ import annotations

@@ -7,9 +7,13 @@ capped.  States are (history node, current gain) pairs; the chain couples the
 belief recursion with the gain process and policy evaluation reduces to sparse
 linear algebra on it.
 
-Beliefs and rules come from one failure-history tree per policy, filled on
-demand: the chain build reads every node of it, and the Monte Carlo simulator
-reads the nodes a rollout visits.
+Beliefs and rules come from one failure-history tree per policy, filled one
+level at a time on demand: the chain build reads every node of it, and the
+Monte Carlo simulator reads the nodes a rollout visits (asking for a node
+fills its whole level).  All children of a level go through one batched
+belief step, in blocks of ``belief._BLOCK_ROWS`` rows, and each distinct
+threshold rule is expanded once per tree.  Policy improvement likewise takes
+the greedy ring argmin of a whole level's states at one gain in one pass.
 
 Depth capping makes the tail nodes approximate: their beliefs are frozen and
 they transmit at full power, so a failure at the cap self-loops.  The solver
@@ -30,14 +34,15 @@ from .belief import (
     DEGENERATE_SUCCESS_TOL,
     ActionFunction,
     BeliefGrid,
-    DegenerateSuccessError,
     GridGeometry,
     SupportOverflowError,
     _failure_center,
     _grid_arrays,
+    _level_success,
+    _node_distortion,
+    _propagate_rows,
     expected_power,
     gaussian_grid,
-    propagate,
     stage_cost,
     success_prob,
 )
@@ -122,12 +127,16 @@ class UnfoldedChain:
 
 
 class _HistoryTree:
-    """Failure-history tree of one policy, filled lazily.
+    """Failure-history tree of one policy, filled one level at a time.
 
-    The rule at (node, g) is the policy's rule, expanded once, or full power
-    at the depth cap.  The belief at a node is the parent belief propagated
-    through a miss of the parent's rule.  A propagation that fails is stored:
-    its error is raised again for that node and for every node below it.
+    The rule at (node, g) is the policy's rule, or full power at the depth
+    cap; each distinct threshold rule is expanded once and shared, so its
+    success probabilities are computed once.  Asking for the belief at a node
+    fills every level down to the node's: all children of a level go through
+    one batched belief step, the parent belief propagated through a miss of
+    the parent's rule.  A child whose step fails stores its error, which is
+    raised again for that node and for every node below it; its siblings go
+    on.
     """
 
     def __init__(
@@ -140,33 +149,54 @@ class _HistoryTree:
         self._full_power = max_power_action(problem.actions).as_action(
             geometry, problem.actions
         )
+        self._expanded: dict[ThresholdAction, ActionFunction] = {}
         self._actions: dict[StateKey, ActionFunction] = {}
         self._beliefs: dict[NodeKey, BeliefGrid | ValueError] = {(): self.root}
+        self._level: list[NodeKey] = [()]
 
     def action(self, node: NodeKey, g: int) -> ActionFunction:
         if len(node) == self.depth:
             return self._full_power
         got = self._actions.get((node, g))
         if got is None:
-            got = self._actions[(node, g)] = self.policy.action_of(node, g)
+            rule = self.policy.rule_for(node, g)
+            if isinstance(rule, ThresholdAction):
+                got = self._expanded.get(rule)
+                if got is None:
+                    got = self._expanded[rule] = rule.as_action(
+                        self.policy.geometry, self.policy.action_set
+                    )
+            else:
+                got = self.policy.action_of(node, g)
+            self._actions[(node, g)] = got
         return got
 
     def belief(self, node: NodeKey) -> BeliefGrid:
-        got = self._beliefs.get(node)
-        if got is None:
-            parent, g = node[:-1], node[-1]
-            problem = self.problem
-            try:
-                got = propagate(
-                    self.belief(parent), problem.channel.gains[g], self.action(parent, g), 0,
-                    problem.process, problem.reception,
-                )
-            except (SupportOverflowError, DegenerateSuccessError) as err:
-                got = err
-            self._beliefs[node] = got
+        while len(self._level[0]) < len(node):
+            self._fill_next_level()
+        got = self._beliefs[node]
         if isinstance(got, ValueError):
             raise got
         return got
+
+    def _fill_next_level(self) -> None:
+        channel = self.problem.channel
+        children: list[NodeKey] = []
+        rows: list[tuple[BeliefGrid, float, ActionFunction]] = []
+        level: list[NodeKey] = []
+        for parent in self._level:
+            got = self._beliefs[parent]
+            for g, gain in enumerate(channel.gains):
+                child = parent + (g,)
+                level.append(child)
+                if isinstance(got, ValueError):
+                    self._beliefs[child] = got
+                else:
+                    children.append(child)
+                    rows.append((got, gain, self.action(parent, g)))
+        steps = _propagate_rows(rows, self.problem.process, self.problem.reception)
+        self._beliefs.update(zip(children, steps))
+        self._level = level
 
 
 def build_chain(
@@ -210,56 +240,40 @@ def build_chain(
     virtual = np.zeros(n_nodes, dtype=bool)
     tail = np.array([len(node) == depth for node in nodes])
     S = n_nodes * G
-    actions: list[ActionFunction] = [None] * S  # type: ignore[list-item]
+    actions = [tree.action(node, g) for node in nodes for g in range(G)]
     phi = np.empty(S)
     power = np.empty(S)
     distortion = np.empty(S)
-    zero_alpha = CostWeights(alpha=0.0)
 
     for i, node in enumerate(nodes):
-        theta = beliefs[i]
-        for g in range(G):
+        if i and not virtual[i]:
+            try:
+                beliefs[i] = tree.belief(node)
+            except SupportOverflowError as err:
+                raise SupportOverflowError(
+                    f"belief after failure history {node} overflowed: {err}"
+                ) from err
+        # success_prob, expected_power and stage_cost at alpha = 0 of node
+        # rules, with the node's cell masses taken once
+        masses = beliefs[i].cell_masses()
+        for g, gain in enumerate(channel.gains):
             s = i * G + g
-            action = tree.action(node, g)
-            gain = channel.gains[g]
-            actions[s] = action
-            phi[s] = success_prob(theta, gain, action, problem.reception)
-            power[s] = expected_power(theta, action)
-            distortion[s] = stage_cost(theta, gain, action, problem.reception, zero_alpha)
-            if tail[i]:
-                continue
-            c = child[i, g]
-            if virtual[i] or 1.0 - phi[s] < DEGENERATE_SUCCESS_TOL:
-                virtual[c] = True
-            else:
-                try:
-                    beliefs[c] = tree.belief(node + (g,))
-                except SupportOverflowError as err:
-                    raise SupportOverflowError(
-                        f"belief after failure history {node + (g,)} overflowed: {err}"
-                    ) from err
+            q = _level_success(actions[s], problem.reception, gain)
+            phi[s] = min(max(float(masses @ q), 0.0), 1.0)
+            power[s] = float(masses @ actions[s].values)
+            distortion[s] = _node_distortion(masses, q, beliefs[i].nodes)
+            if not tail[i] and (virtual[i] or 1.0 - phi[s] < DEGENERATE_SUCCESS_TOL):
+                virtual[child[i, g]] = True
 
+    # per state: the success edges to the root, then the failure edges to the
+    # child, one per gain transition of positive probability
     phi_eff = np.where(1.0 - phi < DEGENERATE_SUCCESS_TOL, 1.0, phi)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    g_targets = np.arange(G)
-    for s in range(S):
-        i, g = divmod(s, G)
-        branch = pi[g]
-        live = branch > 0
-        pe = phi_eff[s]
-        if pe > 0:
-            rows.append(np.full(live.sum(), s))
-            cols.append(0 * G + g_targets[live])
-            vals.append(pe * branch[live])
-        if 1.0 - pe > 0:
-            rows.append(np.full(live.sum(), s))
-            cols.append(child[i, g] * G + g_targets[live])
-            vals.append((1.0 - pe) * branch[live])
+    branch = pi[np.arange(S) % G]
+    split = np.stack((phi_eff, 1.0 - phi_eff), axis=1)
+    base = np.stack((np.zeros(S, dtype=int), child.ravel() * G), axis=1)
+    s_idx, edge, h = np.nonzero((split > 0)[:, :, None] & (branch > 0)[:, None, :])
     P = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(S, S),
+        (split[s_idx, edge] * branch[s_idx, h], (s_idx, base[s_idx, edge] + h)), shape=(S, S)
     ).tocsr()
 
     return UnfoldedChain(
@@ -395,40 +409,33 @@ def evaluate_policy(chain: UnfoldedChain, weights: CostWeights) -> EvaluationRes
 # policy improvement
 
 
-def _ring_quantities(geometry: GridGeometry):
-    m = geometry.n_points // 2
-    radii = _grid_arrays(geometry).nodes[m:]
-    return m, radii
-
-
 def _mirror(half: np.ndarray) -> np.ndarray:
     return np.concatenate((half[:0:-1], half))
 
 
-def _improve_state_rings(
+def _ring_choices(
     q_levels: np.ndarray,
     levels: np.ndarray,
     alpha: float,
-    cont_gap: float,
+    cont_gaps: np.ndarray,
     saturation_radius: float,
     geometry: GridGeometry,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise greedy action for one state, evaluated per radius ring.
+) -> np.ndarray:
+    """Pointwise greedy level index per radius ring, one row per state of
+    continuation gap ``cont_gaps[k]``, all at one gain.
 
     Rings keep the two nodes of a mirrored pair on exactly the same level, so
-    the result is even by construction; monotonicity over rings is forced by a
-    running maximum (a no-op except on floating-point ties).  If the greedy
-    rule's failure-branch mean stays at zero the rule collapses to exact
-    switch radii; otherwise the caller falls back to tabular refinement.
+    the mirrored rule is even by construction; monotonicity over rings is
+    forced by a running maximum (a no-op except on floating-point ties).  If
+    the greedy rule's failure-branch mean stays at zero the rule collapses to
+    exact switch radii; otherwise the caller falls back to tabular refinement.
     """
-    m, radii = _ring_quantities(geometry)
-    cost = radii**2 + cont_gap
-    objective = alpha * levels[:, None] - q_levels[:, None] * cost[None, :]
+    radii = _grid_arrays(geometry).nodes[geometry.n_points // 2 :]
+    cost = radii**2 + cont_gaps[:, None]
+    objective = alpha * levels[:, None, None] - q_levels[:, None, None] * cost[None]
     choice = np.argmin(objective, axis=0)
-    choice[radii > saturation_radius] = len(levels) - 1
-    choice = np.maximum.accumulate(choice)
-    values = _mirror(levels[choice])
-    return values, _mirror(q_levels[choice])
+    choice[:, radii > saturation_radius] = len(levels) - 1
+    return np.maximum.accumulate(choice, axis=1)
 
 
 def _improve_state_tabular(
@@ -513,34 +520,49 @@ def improve_policy(
         np.array([reception_prob(problem.reception, u, g) for u in levels])
         for g in problem.channel.gains
     ]
+    sat = problem.actions.saturation_radius
 
+    # one level of non-tail nodes at a time; greedy rules repeat across states,
+    # so each distinct ring choice is fitted to switch radii once
     rules: dict[StateKey, Rule] = {}
-    for i, node in enumerate(chain.nodes):
-        if chain.tail_mask[i]:
-            continue
-        belief = chain.beliefs[i]
-        for g in range(G):
-            c = chain.child[i, g]
-            v_child = values[c * G : (c + 1) * G]
-            cont_gap = discount * float(pi[g] @ (v_child - V_root))
-            if switch_grid is not None:
-                rules[(node, g)] = _grid_scan_state(
-                    chain, belief, problem.channel.gains[g], cont_gap, weights, switch_grid
-                )
-                continue
-            node_values, q_at_nodes = _improve_state_rings(
-                q_by_gain[g], levels, alpha, cont_gap,
-                problem.actions.saturation_radius, chain.geometry,
-            )
-            center = _failure_center(belief, q_at_nodes)
-            if abs(center) <= CENTER_SNAP_TOL:
-                rule = extract_threshold_action(node_values, chain.geometry, problem.actions)
-                rules[(node, g)] = rule if rule is not None else node_values
-            else:
-                rules[(node, g)] = _improve_state_tabular(
-                    belief, q_by_gain[g], levels, alpha, cont_gap,
-                    problem.actions.saturation_radius, center,
-                )
+    fitted: dict[bytes, ThresholdAction | None] = {}
+    start = 0
+    for level in range(chain.depth):
+        idx = range(start, start + G**level)
+        start = idx.stop
+        gaps = np.array([
+            [discount * float(pi[g] @ (values[c * G : (c + 1) * G] - V_root))
+             for g, c in enumerate(chain.child[i])]
+            for i in idx
+        ])
+        if switch_grid is None:
+            choices = [
+                _ring_choices(q_by_gain[g], levels, alpha, gaps[:, g], sat, chain.geometry)
+                for g in range(G)
+            ]
+        for r, i in enumerate(idx):
+            node, belief = chain.nodes[i], chain.beliefs[i]
+            for g in range(G):
+                if switch_grid is not None:
+                    rules[(node, g)] = _grid_scan_state(
+                        chain, belief, problem.channel.gains[g], gaps[r, g], weights,
+                        switch_grid,
+                    )
+                    continue
+                choice = choices[g][r]
+                center = _failure_center(belief, _mirror(q_by_gain[g][choice]))
+                if abs(center) <= CENTER_SNAP_TOL:
+                    key = choice.tobytes()
+                    if key not in fitted:
+                        fitted[key] = extract_threshold_action(
+                            _mirror(levels[choice]), chain.geometry, problem.actions
+                        )
+                    rule = fitted[key]
+                    rules[(node, g)] = rule if rule is not None else _mirror(levels[choice])
+                else:
+                    rules[(node, g)] = _improve_state_tabular(
+                        belief, q_by_gain[g], levels, alpha, gaps[r, g], sat, center
+                    )
     return PowerPolicy.from_rules(rules, problem.actions, chain.geometry)
 
 
@@ -772,9 +794,10 @@ def structure_witness(
             c = chain.child[i, g]
             cont_gap = float(pi[g] @ (values[c * G : (c + 1) * G] - V_root))
 
-            ring_values, q_at = _improve_state_rings(
-                q_by_gain[g], levels, weights.alpha, cont_gap, sat, chain.geometry
-            )
+            choice = _ring_choices(
+                q_by_gain[g], levels, weights.alpha, np.array([cont_gap]), sat, chain.geometry
+            )[0]
+            ring_values, q_at = _mirror(levels[choice]), _mirror(q_by_gain[g][choice])
             thr_action = ActionFunction(ring_values, problem.actions, chain.geometry)
             q_thr = state_action_value(chain, s, thr_action, weights, values)
 

@@ -15,15 +15,21 @@ import math
 from itertools import combinations_with_replacement, product
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.signal import fftconvolve
 
 from remotepower import (
+    BeliefGrid,
     PowerPolicy,
+    SupportOverflowError,
     ThresholdAction,
     build_chain,
     evaluate_policy,
+    gaussian_grid,
     post_failure,
+    reception_prob,
 )
+from remotepower.policy import max_power_action
 
 
 def q_of(reception, u: float, gain: float) -> float:
@@ -100,8 +106,9 @@ def stage_cost_oracle(belief, gain: float, action, reception, alpha: float) -> f
 def propagate_fftconvolve(belief, gain: float, action, process, reception) -> np.ndarray:
     """Node weights after a failed transmission, with every grid array and the
     noise kernel built afresh and the convolution done by
-    scipy.signal.fftconvolve: the package's propagate before it kept the
-    kernel spectrum."""
+    scipy.signal.fftconvolve (np.convolve on a "direct" grid): the package's
+    propagate before it kept the kernel spectrum and batched its rows.  Mass
+    escaping the grid raises SupportOverflowError, as the package does."""
     E = belief.half_width
     dx = belief.spacing
     n = len(belief.weights)
@@ -117,8 +124,88 @@ def propagate_fftconvolve(belief, gain: float, action, process, reception) -> np
         weighted = weighted[::-1]
     W = process.noise_var
     kernel = np.exp(-0.5 * (dx * np.arange(-(n - 1), n)) ** 2 / W) / math.sqrt(2.0 * math.pi * W)
-    raw = np.maximum(fftconvolve(weighted, kernel, mode="valid"), 0.0)
+    if belief.geometry.convolution == "fft":
+        raw = fftconvolve(weighted, kernel, mode="valid")
+    else:
+        raw = np.convolve(weighted, kernel, mode="valid")
+    raw = np.maximum(raw, 0.0)
+    if 1.0 - float(cell_w @ raw) > 1e-6:
+        raise SupportOverflowError("propagated belief escaped the grid")
     return raw / float(cell_w @ raw)
+
+
+def chain_per_node(problem, geometry, policy, depth: int) -> dict:
+    """The chain build as a per-node recursion: every rule expanded afresh by
+    the policy, every child belief propagated alone by
+    propagate_fftconvolve, the per-state success probability, power and
+    failure-branch distortion written out in the node-sum quadrature, and the
+    transition matrix assembled entry by entry.  Returns beliefs (node
+    weights), phi, power, distortion, virtual and P."""
+    G = problem.channel.n_gains
+    gains = problem.channel.gains
+    pi = np.asarray(problem.channel.transition)
+    nodes = [()]
+    frontier = [()]
+    for _ in range(depth):
+        frontier = [node + (g,) for node in frontier for g in range(G)]
+        nodes.extend(frontier)
+    index = {node: i for i, node in enumerate(nodes)}
+    root = gaussian_grid(0.0, problem.process.noise_var, geometry)
+    beliefs = [root] * len(nodes)
+    virtual = np.zeros(len(nodes), dtype=bool)
+    S = len(nodes) * G
+    phi, power, distortion = np.empty(S), np.empty(S), np.empty(S)
+    full_power = max_power_action(problem.actions).as_action(geometry, problem.actions)
+    n = geometry.n_points
+    x = np.linspace(-geometry.half_width, geometry.half_width, n)
+    cell_w = np.full(n, geometry.spacing)
+    cell_w[0] = cell_w[-1] = 0.5 * geometry.spacing
+    for i, node in enumerate(nodes):
+        theta = beliefs[i]
+        masses = cell_w * theta.weights
+        for g in range(G):
+            s = i * G + g
+            rule = full_power if len(node) == depth else policy.action_of(node, g)
+            q = reception_prob(problem.reception, rule.values, gains[g])
+            phi[s] = min(max(float(masses @ q), 0.0), 1.0)
+            power[s] = float(masses @ rule.values)
+            fail_w = (1.0 - q) * masses
+            fail_mass = float(fail_w.sum())
+            distortion[s] = 0.0
+            if fail_mass >= 1e-12:
+                e_hat = float(fail_w @ x) / fail_mass
+                distortion[s] = float(fail_w @ (x - e_hat) ** 2)
+            if len(node) == depth:
+                continue
+            c = index[node + (g,)]
+            if virtual[i] or 1.0 - phi[s] < 1e-12:
+                virtual[c] = True
+            else:
+                weights = propagate_fftconvolve(theta, gains[g], rule, problem.process,
+                                                problem.reception)
+                beliefs[c] = BeliefGrid(geometry, weights)
+    phi_eff = np.where(1.0 - phi < 1e-12, 1.0, phi)
+    rows, cols, vals = [], [], []
+    for s in range(S):
+        i, g = divmod(s, G)
+        node = nodes[i]
+        c = index[node + (g,)] if len(node) < depth else i
+        for target, p in ((0, phi_eff[s]), (c, 1.0 - phi_eff[s])):
+            if p > 0:
+                for h in range(G):
+                    if pi[g, h] > 0:
+                        rows.append(s)
+                        cols.append(target * G + h)
+                        vals.append(p * pi[g, h])
+    P = sp.coo_matrix((vals, (rows, cols)), shape=(S, S)).tocsr()
+    return {
+        "beliefs": [b.weights for b in beliefs],
+        "phi": phi,
+        "power": power,
+        "distortion": distortion,
+        "virtual": virtual,
+        "P": P,
+    }
 
 
 def three_state_average_cost(phis, costs) -> float:

@@ -311,3 +311,30 @@ def test_simulate_trace_is_thread_count_invariant(tiny_cfg_path, tmp_path, solve
         outputs.append((out.read_bytes(), trace.read_bytes()))
     capsys.readouterr()
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "section, entries",
+    [
+        ("process", {"a": "1.2"}),
+        ("process", {"noise_var": True}),
+        ("process", {"init_var": None}),
+        ("channel", {"gains": [1.0, "2.0"]}),
+        ("channel", {"gains": "0.5"}),
+        ("channel", {"transition": [[0.8, 0.2], [True, 0.7]]}),
+        ("channel", {"transition": "[[1.0]]"}),
+        ("reception", {"scale": "1"}),
+        ("reception", {"on_level": False}),
+        ("reception", {"on_prob": "1.0"}),
+        ("actions", {"levels": [0.0, "4.0"]}),
+        ("actions", {"saturation_radius": True}),
+        ("cost", {"alpha": True}),
+        ("cost", {"alpha": "0.5"}),
+        ("grid", {"half_width": "20"}),
+    ],
+)
+def test_real_valued_entries_must_be_json_numbers(tmp_path, capsys, section, entries):
+    path = _tiny_config_with(tmp_path, section, entries)
+    # validate builds the model sections only, not the grid
+    for command in ("solve",) if section == "grid" else ("validate", "solve"):
+        _assert_one_line_input_error(run([command, path]), capsys)

@@ -1,0 +1,157 @@
+"""The level-batched failure-history tree against the per-node recursion.
+
+`build_chain` fills its tree one level at a time, every belief step of a
+level in fixed-size row blocks; `oracles.chain_per_node` unfolds the same
+chain one node at a time with freshly expanded rules.  The two must agree
+bit for bit, and a step that fails must fail for its own node only.
+"""
+
+import dataclasses
+import json
+import logging
+import os
+
+import numpy as np
+import pytest
+
+from oracles import chain_per_node, propagate_fftconvolve
+from remotepower import (
+    ActionSet,
+    ControlProblem,
+    CostWeights,
+    FadingChannel,
+    GridGeometry,
+    PowerPolicy,
+    ReceptionModel,
+    ScalarProcess,
+    SupportOverflowError,
+    build_chain,
+    on_off_action,
+    simulate,
+)
+from remotepower.policy import max_power_action
+from remotepower.solver import _HistoryTree
+
+CANONICAL_POLICY = os.path.join(
+    os.path.dirname(__file__), "..", "bench", "inputs", "canonical_policy.json"
+)
+
+
+def assert_chain_matches_oracle(problem, geometry, policy, depth):
+    chain = build_chain(problem, geometry, policy, depth)
+    want = chain_per_node(problem, geometry, policy, depth)
+    assert len(chain.beliefs) == len(want["beliefs"])
+    for got, expected in zip(chain.beliefs, want["beliefs"]):
+        assert np.array_equal(got.weights, expected)
+    for name in ("phi", "power", "distortion"):
+        assert np.array_equal(getattr(chain, name), want[name]), name
+    assert np.array_equal(chain.virtual_mask, want["virtual"])
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(chain.P, part), getattr(want["P"], part)), part
+    return chain
+
+
+def test_canonical_chain_equals_per_node_recursion(canon_problem, canon_geometry,
+                                                   canon_solution):
+    policy = canon_solution.policy
+    chain = assert_chain_matches_oracle(canon_problem, canon_geometry, policy, 4)
+    # states with one threshold rule share one expanded rule
+    by_rule = {}
+    for s in range(chain.n_states):
+        node, g = chain.state_key(s)
+        if len(node) < chain.depth:
+            rule = policy.rule_for(node, g)
+            assert by_rule.setdefault(rule, chain.actions[s]) is chain.actions[s]
+    assert len(by_rule) < chain.n_states - 2 * chain.n_gains ** chain.depth
+
+
+def test_tiny_direct_chain_equals_per_node_recursion(tiny_problem, tiny_geometry):
+    policy = PowerPolicy.on_off(1.5, tiny_problem.actions, tiny_geometry)
+    assert_chain_matches_oracle(tiny_problem, tiny_geometry, policy, 4)
+
+
+def test_mirrored_plant_chain_equals_per_node_recursion(canon_problem, canon_geometry,
+                                                        canon_solution):
+    problem = dataclasses.replace(canon_problem, process=ScalarProcess(a=-1.2, noise_var=1.0))
+    assert_chain_matches_oracle(problem, canon_geometry, canon_solution.policy, 3)
+
+
+def test_degenerate_edges_chain_equals_per_node_recursion(tiny_geometry):
+    # on-off reception with on_prob = 1: full power always gets through, so
+    # every gain-0 edge is degenerate and its subtree virtual
+    problem = ControlProblem(
+        process=ScalarProcess(a=1.2, noise_var=1.0),
+        channel=FadingChannel(gains=(1.0, 2.0), transition=((0.6, 0.4), (0.3, 0.7))),
+        reception=ReceptionModel(form="on_off", on_level=4.0, on_prob=1.0),
+        actions=ActionSet(levels=(0.0, 4.0), saturation_radius=6.0),
+        cost=CostWeights(alpha=0.5),
+    )
+    nodes = [()] + [(0,), (1,)] + [(a, b) for a in range(2) for b in range(2)]
+    rules = {}
+    for node in nodes:
+        rules[(node, 0)] = max_power_action(problem.actions)
+        rules[(node, 1)] = on_off_action(1.5, problem.actions)
+    policy = PowerPolicy.from_rules(rules, problem.actions, tiny_geometry)
+    chain = assert_chain_matches_oracle(problem, tiny_geometry, policy, 3)
+    assert chain.virtual_mask.any() and not chain.virtual_mask.all()
+    assert chain.virtual_mask[chain.node_index[(0,)]]
+    assert not chain.virtual_mask[chain.node_index[(1, 1)]]
+
+
+def lopsided_two_gain_case():
+    """A two-gain tiny problem whose lopsided rule along the all-zero history
+    drives the belief off the grid five failures deep, while the mirrored rule
+    at the last branch point keeps the sibling (0, 0, 0, 0, 1) on the grid."""
+    problem = ControlProblem(
+        process=ScalarProcess(a=1.2, noise_var=1.0),
+        channel=FadingChannel(gains=(1.0, 2.0), transition=((0.9, 0.1), (0.5, 0.5))),
+        reception=ReceptionModel(form="exponential", scale=1.0),
+        actions=ActionSet(levels=(0.0, 4.0), saturation_radius=6.0),
+        cost=CostWeights(alpha=0.5),
+    )
+    geometry = GridGeometry(half_width=20.0, n_points=401, convolution="direct")
+    lopsided = np.where(geometry.nodes() >= 1.0, 4.0, 0.0)
+    rules = {((0,) * k, 0): lopsided for k in range(6)}
+    rules[((0,) * 4, 1)] = lopsided[::-1].copy()
+    policy = PowerPolicy(problem.actions, geometry, "tabular", rules=rules,
+                         default=np.full(geometry.n_points, 4.0), enforce=False)
+    return problem, geometry, policy
+
+
+def test_failed_row_keeps_its_error_and_siblings_go_on(caplog):
+    problem, geometry, policy = lopsided_two_gain_case()
+    with pytest.raises(SupportOverflowError, match=r"failure history \(0, 0, 0, 0, 0\) "):
+        build_chain(problem, geometry, policy, depth=6)
+
+    # above the failing level the lopsided chain (off-centre failure
+    # branches) still matches the per-node recursion
+    chain = assert_chain_matches_oracle(problem, geometry, policy, 4)
+    tree = _HistoryTree(problem, geometry, policy, 6)
+    sibling = tree.belief((0, 0, 0, 0, 1))
+    parent = chain.beliefs[chain.node_index[(0, 0, 0, 0)]]
+    assert np.array_equal(tree.belief((0, 0, 0, 0)).weights, parent.weights)
+    want = propagate_fftconvolve(tree.belief((0, 0, 0, 0)), 2.0, tree.action((0, 0, 0, 0), 1),
+                                 problem.process, problem.reception)
+    assert np.array_equal(sibling.weights, want)
+    with pytest.raises(SupportOverflowError) as failed:
+        tree.belief((0, 0, 0, 0, 0))
+    for below in ((0,) * 6, (0,) * 5 + (1,)):
+        with pytest.raises(SupportOverflowError) as again:
+            tree.belief(below)
+        assert again.value is failed.value
+    tree.belief((0, 0, 0, 0, 1, 0))
+
+    with caplog.at_level(logging.WARNING, logger="remotepower.simulator"):
+        simulate(problem, geometry, policy, "belief_mean", 100_000, 13, depth=6)
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "failure history (0, 0, 0, 0, 0) " in warnings[0]
+
+
+def test_canonical_answer_is_pinned(canon_solution):
+    """The default solve reproduces the frozen canonical answer exactly."""
+    with open(CANONICAL_POLICY) as fh:
+        frozen = json.load(fh)
+    assert canon_solution.rho_star == frozen["rho_star"]
+    assert canon_solution.rho_history == frozen["rho_history"]
+    assert canon_solution.tail_occupancy == frozen["tail_occupancy"]
