@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 
 import numpy as np
@@ -300,6 +301,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify_structure(args) -> int:
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     cfg, problem, geometry = _load(args.config)
     if args.policy is not None:
         policy = _load_policy(args.policy, problem, geometry)
@@ -428,13 +431,16 @@ def _cmd_verify_structure(args) -> int:
 def _parse_alpha_range(text: str) -> list[float]:
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            return [float(parts[0])]
-        if len(parts) != 3:
+        if len(parts) not in (1, 3):
             raise ValueError("expected start:step:stop")
-        start, step, stop = (float(p) for p in parts)
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise ConfigError(f"bad --alpha range {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"bad --alpha range {text!r}: values must be finite")
+    if len(values) == 1:
+        return values
+    start, step, stop = values
     if step <= 0 or stop < start:
         raise ConfigError(f"bad --alpha range {text!r}: need step > 0 and stop >= start")
     count = int((stop - start) / step + 1e-9) + 1

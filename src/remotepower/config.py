@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import sys
 
 from .belief import GridGeometry
 from .model import (
@@ -86,8 +87,9 @@ def _is_number(value, kind: type | tuple[type, ...] = (int, float)) -> bool:
 
 
 def _number(value, name: str) -> float:
-    if not _is_number(value):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+    """A JSON number that is a finite float (json also reads NaN and Infinity)."""
+    if not (_is_number(value) and abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -103,8 +105,8 @@ def _check_solver(solver: dict) -> None:
         if not (_is_number(solver[key], int) and solver[key] >= 1):
             raise ConfigError(f"solver.{key} must be an integer >= 1, got {solver[key]!r}")
     tol = solver["tol_rho"]
-    if not (_is_number(tol) and tol >= 0):
-        raise ConfigError(f"solver.tol_rho must be a number >= 0, got {tol!r}")
+    if not (_is_number(tol) and 0 <= tol <= sys.float_info.max):
+        raise ConfigError(f"solver.tol_rho must be a finite number >= 0, got {tol!r}")
     points = solver["threshold_points"]
     if points is not None and not (_is_number(points, int) and points >= 2):
         raise ConfigError(

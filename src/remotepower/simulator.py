@@ -31,9 +31,9 @@ from .belief import (
     _failure_center,
     mean as belief_mean,
 )
-from .model import ControlProblem, ScalarProcess, reception_prob
+from .model import ControlProblem, ScalarProcess
 from .policy import NodeKey, PowerPolicy
-from .solver import _HistoryTree
+from .solver import _HistoryTree, _success_table
 
 logger = logging.getLogger(__name__)
 
@@ -116,10 +116,7 @@ class _StateMemo:
         self.tree = _HistoryTree(problem, geometry, policy, depth)
         self.centred = centred
         self.levels = np.asarray(problem.actions.levels)
-        self.q_rows = [
-            np.array([float(reception_prob(problem.reception, lv, h)) for lv in self.levels])
-            for h in problem.channel.gains
-        ]
+        self.q_rows = _success_table(problem)
         self.rows: dict[tuple[NodeKey, int], tuple[np.ndarray, float, float]] = {}
         self._warned: set[ValueError] = set()
 

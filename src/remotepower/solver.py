@@ -12,8 +12,9 @@ level at a time on demand: the chain build reads every node of it, and the
 Monte Carlo simulator reads the nodes a rollout visits (asking for a node
 fills its whole level).  All children of a level go through one batched
 belief step, in blocks of ``belief._BLOCK_ROWS`` rows, and each distinct
-threshold rule is expanded once per tree.  Policy improvement likewise takes
-the greedy ring argmin of a whole level's states at one gain in one pass.
+threshold rule is expanded once per tree.  Policy improvement and the
+structure witness read one greedy pass, which takes the ring argmin of
+``_BLOCK_ROWS`` states at one gain at once.
 
 Depth capping makes the tail nodes approximate: their beliefs are frozen and
 they transmit at full power, so a failure at the cap self-loops.  The solver
@@ -23,6 +24,7 @@ reports tail occupancy so callers can confirm the cap does not matter.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -32,6 +34,7 @@ from scipy.sparse.linalg import spsolve
 
 from .belief import (
     DEGENERATE_SUCCESS_TOL,
+    _BLOCK_ROWS,
     ActionFunction,
     BeliefGrid,
     GridGeometry,
@@ -46,7 +49,7 @@ from .belief import (
     stage_cost,
     success_prob,
 )
-from .model import ControlProblem, CostWeights, reception_prob, validate_stability
+from .model import ActionSet, ControlProblem, CostWeights, reception_prob, validate_stability
 from .policy import (
     NodeKey,
     PowerPolicy,
@@ -109,9 +112,6 @@ class UnfoldedChain:
     @property
     def n_states(self) -> int:
         return len(self.nodes) * self.n_gains
-
-    def state_index(self, node: NodeKey, gain_index: int) -> int:
-        return self.node_index[tuple(node)] * self.n_gains + gain_index
 
     def state_key(self, s: int) -> StateKey:
         return self.nodes[s // self.n_gains], s % self.n_gains
@@ -253,15 +253,13 @@ def build_chain(
                 raise SupportOverflowError(
                     f"belief after failure history {node} overflowed: {err}"
                 ) from err
-        # success_prob, expected_power and stage_cost at alpha = 0 of node
-        # rules, with the node's cell masses taken once
         masses = beliefs[i].cell_masses()
         for g, gain in enumerate(channel.gains):
             s = i * G + g
             q = _level_success(actions[s], problem.reception, gain)
-            phi[s] = min(max(float(masses @ q), 0.0), 1.0)
-            power[s] = float(masses @ actions[s].values)
-            distortion[s] = _node_distortion(masses, q, beliefs[i].nodes)
+            phi[s], power[s], distortion[s] = _node_rule_terms(
+                masses, beliefs[i].nodes, actions[s].values, q
+            )
             if not tail[i] and (virtual[i] or 1.0 - phi[s] < DEGENERATE_SUCCESS_TOL):
                 virtual[child[i, g]] = True
 
@@ -292,6 +290,15 @@ def build_chain(
         tail_mask=tail,
         virtual_mask=virtual,
     )
+
+
+def _node_rule_terms(
+    masses: np.ndarray, nodes: np.ndarray, u: np.ndarray, q: np.ndarray
+) -> tuple[float, float, float]:
+    """success_prob, expected_power and stage_cost at alpha = 0 of the node
+    rule with levels u and success probabilities q, from the cell masses."""
+    phi = min(max(float(masses @ q), 0.0), 1.0)
+    return phi, float(masses @ u), _node_distortion(masses, q, nodes)
 
 
 def _reachable_states(P: sp.csr_matrix, seeds: list[int]) -> np.ndarray:
@@ -409,59 +416,83 @@ def evaluate_policy(chain: UnfoldedChain, weights: CostWeights) -> EvaluationRes
 # policy improvement
 
 
+def _success_table(problem: ControlProblem) -> list[np.ndarray]:
+    """Success probability at each power level, one row per channel gain."""
+    return [
+        np.array([reception_prob(problem.reception, u, h) for u in problem.actions.levels])
+        for h in problem.channel.gains
+    ]
+
+
 def _mirror(half: np.ndarray) -> np.ndarray:
     return np.concatenate((half[:0:-1], half))
 
 
-def _ring_choices(
-    q_levels: np.ndarray,
-    levels: np.ndarray,
-    alpha: float,
-    cont_gaps: np.ndarray,
-    saturation_radius: float,
-    geometry: GridGeometry,
-) -> np.ndarray:
-    """Pointwise greedy level index per radius ring, one row per state of
-    continuation gap ``cont_gaps[k]``, all at one gain.
-
-    Rings keep the two nodes of a mirrored pair on exactly the same level, so
-    the mirrored rule is even by construction; monotonicity over rings is
-    forced by a running maximum (a no-op except on floating-point ties).  If
-    the greedy rule's failure-branch mean stays at zero the rule collapses to
-    exact switch radii; otherwise the caller falls back to tabular refinement.
-    """
-    radii = _grid_arrays(geometry).nodes[geometry.n_points // 2 :]
-    cost = radii**2 + cont_gaps[:, None]
-    objective = alpha * levels[:, None, None] - q_levels[:, None, None] * cost[None]
-    choice = np.argmin(objective, axis=0)
-    choice[:, radii > saturation_radius] = len(levels) - 1
-    return np.maximum.accumulate(choice, axis=1)
-
-
 def _improve_state_tabular(
-    belief: BeliefGrid,
-    q_levels: np.ndarray,
-    levels: np.ndarray,
-    alpha: float,
-    cont_gap: float,
-    saturation_radius: float,
-    center: float,
+    belief: BeliefGrid, actions: ActionSet, q_levels: np.ndarray,
+    alpha: float, cont_gap: float, center: float,
 ) -> np.ndarray:
-    """Coordinate descent on (node levels, error center) without symmetry."""
+    """Coordinate descent on (node levels, error center) without symmetry;
+    returns the level index per node."""
     nodes = belief.nodes
-    outside = np.abs(nodes) > saturation_radius
-    values = None
+    levels = np.asarray(actions.levels)
+    outside = np.abs(nodes) > actions.saturation_radius
+    choice = None
     for _ in range(CENTER_ITERATIONS):
         cost = (nodes - center) ** 2 + cont_gap
         objective = alpha * levels[:, None] - q_levels[:, None] * cost[None, :]
         choice = np.argmin(objective, axis=0)
         choice[outside] = len(levels) - 1
-        values = levels[choice]
         new_center = _failure_center(belief, q_levels[choice])
         if abs(new_center - center) < 1e-12:
             break
         center = new_center
-    return values
+    return choice
+
+
+def _greedy_states(
+    chain: UnfoldedChain,
+    q_by_gain: list[np.ndarray],
+    weights: CostWeights,
+    values: np.ndarray,
+    discount: float = 1.0,
+) -> Iterator[tuple[int, int, float, np.ndarray, float]]:
+    """Greedy backup of every non-tail state, in blocks of _BLOCK_ROWS nodes.
+
+    Yields ``(i, g, gap, choice, center)`` per state (node i, gain g): the
+    continuation gap, the pointwise greedy level index per radius ring, taken
+    for a block's states at one gain at once, and the failure-branch mean of
+    the mirrored ring rule.  Rings keep a mirrored pair of nodes on one level,
+    so that rule is even; a running maximum forces it monotone over rings (a
+    no-op except on floating-point ties).
+    """
+    G = chain.n_gains
+    pi = np.asarray(chain.problem.channel.transition)
+    levels = np.asarray(chain.problem.actions.levels)
+    radii = _grid_arrays(chain.geometry).nodes[chain.geometry.n_points // 2 :]
+    outside = radii > chain.problem.actions.saturation_radius
+    V_root = values[0:G]
+    inner = np.flatnonzero(~chain.tail_mask)
+    for lo in range(0, len(inner), _BLOCK_ROWS):
+        idx = inner[lo : lo + _BLOCK_ROWS]
+        gaps = np.array([
+            [discount * float(pi[g] @ (values[c * G : (c + 1) * G] - V_root))
+             for g, c in enumerate(chain.child[i])]
+            for i in idx
+        ])
+        choices = []
+        for g in range(G):
+            cost = radii**2 + gaps[:, g, None]
+            choice = np.argmin(
+                weights.alpha * levels[:, None, None] - q_by_gain[g][:, None, None] * cost, axis=0
+            )
+            choice[:, outside] = len(levels) - 1
+            choices.append(np.maximum.accumulate(choice, axis=1))
+        for r, i in enumerate(idx):
+            for g in range(G):
+                choice = choices[g][r]
+                center = _failure_center(chain.beliefs[i], _mirror(q_by_gain[g][choice]))
+                yield i, g, gaps[r, g], choice, center
 
 
 def _grid_scan_state(
@@ -509,60 +540,33 @@ def improve_policy(
     switch radii.
     """
     problem = chain.problem
-    G = chain.n_gains
-    pi = np.asarray(problem.channel.transition)
     levels = np.asarray(problem.actions.levels)
-    alpha = weights.alpha
+    q_by_gain = _success_table(problem)
     discount = 1.0 if beta is None else beta
 
-    V_root = values[0:G]
-    q_by_gain = [
-        np.array([reception_prob(problem.reception, u, g) for u in levels])
-        for g in problem.channel.gains
-    ]
-    sat = problem.actions.saturation_radius
-
-    # one level of non-tail nodes at a time; greedy rules repeat across states,
-    # so each distinct ring choice is fitted to switch radii once
+    # a ring rule whose failure-branch mean is zero collapses to exact switch
+    # radii (each distinct ring choice is fitted once, as greedy rules repeat
+    # across states); otherwise the state falls back to tabular refinement
     rules: dict[StateKey, Rule] = {}
     fitted: dict[bytes, ThresholdAction | None] = {}
-    start = 0
-    for level in range(chain.depth):
-        idx = range(start, start + G**level)
-        start = idx.stop
-        gaps = np.array([
-            [discount * float(pi[g] @ (values[c * G : (c + 1) * G] - V_root))
-             for g, c in enumerate(chain.child[i])]
-            for i in idx
-        ])
-        if switch_grid is None:
-            choices = [
-                _ring_choices(q_by_gain[g], levels, alpha, gaps[:, g], sat, chain.geometry)
-                for g in range(G)
-            ]
-        for r, i in enumerate(idx):
-            node, belief = chain.nodes[i], chain.beliefs[i]
-            for g in range(G):
-                if switch_grid is not None:
-                    rules[(node, g)] = _grid_scan_state(
-                        chain, belief, problem.channel.gains[g], gaps[r, g], weights,
-                        switch_grid,
-                    )
-                    continue
-                choice = choices[g][r]
-                center = _failure_center(belief, _mirror(q_by_gain[g][choice]))
-                if abs(center) <= CENTER_SNAP_TOL:
-                    key = choice.tobytes()
-                    if key not in fitted:
-                        fitted[key] = extract_threshold_action(
-                            _mirror(levels[choice]), chain.geometry, problem.actions
-                        )
-                    rule = fitted[key]
-                    rules[(node, g)] = rule if rule is not None else _mirror(levels[choice])
-                else:
-                    rules[(node, g)] = _improve_state_tabular(
-                        belief, q_by_gain[g], levels, alpha, gaps[r, g], sat, center
-                    )
+    for i, g, gap, choice, center in _greedy_states(chain, q_by_gain, weights, values, discount):
+        node, belief = chain.nodes[i], chain.beliefs[i]
+        if switch_grid is not None:
+            rules[(node, g)] = _grid_scan_state(
+                chain, belief, problem.channel.gains[g], gap, weights, switch_grid
+            )
+        elif abs(center) <= CENTER_SNAP_TOL:
+            key = choice.tobytes()
+            if key not in fitted:
+                fitted[key] = extract_threshold_action(
+                    _mirror(levels[choice]), chain.geometry, problem.actions
+                )
+            rule = fitted[key]
+            rules[(node, g)] = rule if rule is not None else _mirror(levels[choice])
+        else:
+            rules[(node, g)] = levels[_improve_state_tabular(
+                belief, problem.actions, q_by_gain[g], weights.alpha, gap, center
+            )]
     return PowerPolicy.from_rules(rules, problem.actions, chain.geometry)
 
 
@@ -777,36 +781,23 @@ def structure_witness(
     G = chain.n_gains
     pi = np.asarray(problem.channel.transition)
     levels = np.asarray(problem.actions.levels)
-    sat = problem.actions.saturation_radius
-    q_by_gain = [
-        np.array([reception_prob(problem.reception, u, g) for u in levels])
-        for g in problem.channel.gains
-    ]
+    q_by_gain = _success_table(problem)
     V_root = values[0:G]
 
+    def backup(i: int, g: int, masses: np.ndarray, choice: np.ndarray) -> float:
+        """state_action_value of the node rule with level indices `choice`."""
+        q = q_by_gain[g][choice]
+        phi, power, distortion = _node_rule_terms(masses, chain.beliefs[i].nodes, levels[choice], q)
+        c = chain.child[i, g]
+        cont = float(pi[g] @ (phi * V_root + (1.0 - phi) * values[c * G : (c + 1) * G]))
+        return weights.alpha * power + distortion + cont
+
     worst = 0.0
-    for i, node in enumerate(chain.nodes):
-        if chain.tail_mask[i]:
-            continue
+    for i, g, gap, choice, center in _greedy_states(chain, q_by_gain, weights, values):
         belief = chain.beliefs[i]
-        for g in range(G):
-            s = i * G + g
-            c = chain.child[i, g]
-            cont_gap = float(pi[g] @ (values[c * G : (c + 1) * G] - V_root))
-
-            choice = _ring_choices(
-                q_by_gain[g], levels, weights.alpha, np.array([cont_gap]), sat, chain.geometry
-            )[0]
-            ring_values, q_at = _mirror(levels[choice]), _mirror(q_by_gain[g][choice])
-            thr_action = ActionFunction(ring_values, problem.actions, chain.geometry)
-            q_thr = state_action_value(chain, s, thr_action, weights, values)
-
-            center = _failure_center(belief, q_at)
-            tab_values = _improve_state_tabular(
-                belief, q_by_gain[g], levels, weights.alpha, cont_gap, sat, center
-            )
-            tab_action = ActionFunction(tab_values, problem.actions, chain.geometry)
-            q_tab = state_action_value(chain, s, tab_action, weights, values)
-
-            worst = max(worst, q_thr - q_tab)
+        masses = belief.cell_masses()
+        tabular = _improve_state_tabular(
+            belief, problem.actions, q_by_gain[g], weights.alpha, gap, center
+        )
+        worst = max(worst, backup(i, g, masses, _mirror(choice)) - backup(i, g, masses, tabular))
     return worst

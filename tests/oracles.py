@@ -19,6 +19,7 @@ import scipy.sparse as sp
 from scipy.signal import fftconvolve
 
 from remotepower import (
+    ActionFunction,
     BeliefGrid,
     PowerPolicy,
     SupportOverflowError,
@@ -28,6 +29,7 @@ from remotepower import (
     gaussian_grid,
     post_failure,
     reception_prob,
+    state_action_value,
 )
 from remotepower.policy import max_power_action
 
@@ -206,6 +208,60 @@ def chain_per_node(problem, geometry, policy, depth: int) -> dict:
         "virtual": virtual,
         "P": P,
     }
+
+
+def structure_witness_per_state(chain, weights, values) -> float:
+    """The structure witness one state at a time: at each non-tail state the
+    mirrored ring argmin and its tabular refinement are written out, expanded
+    into validated ActionFunctions and each scored by state_action_value."""
+    problem = chain.problem
+    G = chain.n_gains
+    pi = np.asarray(problem.channel.transition)
+    levels = np.asarray(problem.actions.levels)
+    sat = problem.actions.saturation_radius
+    alpha = weights.alpha
+
+    def centre(belief, q):
+        fail_w = (1.0 - q) * belief.cell_masses()
+        fail_mass = float(fail_w.sum())
+        return 0.0 if fail_mass < 1e-12 else float(fail_w @ belief.nodes) / fail_mass
+
+    worst = 0.0
+    for i in range(chain.n_nodes):
+        if chain.tail_mask[i]:
+            continue
+        belief = chain.beliefs[i]
+        x = belief.nodes
+        radii = x[len(x) // 2 :]
+        for g, gain in enumerate(problem.channel.gains):
+            q_levels = np.array([reception_prob(problem.reception, u, gain) for u in levels])
+            c = chain.child[i, g]
+            gap = float(pi[g] @ (values[c * G : (c + 1) * G] - values[0:G]))
+            objective = alpha * levels[:, None] - q_levels[:, None] * (radii**2 + gap)
+            ring = np.argmin(objective, axis=0)
+            ring[radii > sat] = len(levels) - 1
+            ring = np.maximum.accumulate(ring)
+            ring = np.concatenate((ring[:0:-1], ring))
+            threshold = ActionFunction(levels[ring], problem.actions, chain.geometry)
+
+            center = centre(belief, q_levels[ring])
+            for _ in range(5):
+                objective = alpha * levels[:, None] - q_levels[:, None] * ((x - center) ** 2 + gap)
+                choice = np.argmin(objective, axis=0)
+                choice[np.abs(x) > sat] = len(levels) - 1
+                new_center = centre(belief, q_levels[choice])
+                if abs(new_center - center) < 1e-12:
+                    break
+                center = new_center
+            tabular = ActionFunction(levels[choice], problem.actions, chain.geometry)
+
+            s = i * G + g
+            worst = max(
+                worst,
+                state_action_value(chain, s, threshold, weights, values)
+                - state_action_value(chain, s, tabular, weights, values),
+            )
+    return worst
 
 
 def three_state_average_cost(phis, costs) -> float:

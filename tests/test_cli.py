@@ -338,3 +338,40 @@ def test_real_valued_entries_must_be_json_numbers(tmp_path, capsys, section, ent
     # validate builds the model sections only, not the grid
     for command in ("solve",) if section == "grid" else ("validate", "solve"):
         _assert_one_line_input_error(run([command, path]), capsys)
+
+
+@pytest.mark.parametrize(
+    "section, entries",
+    [
+        ("cost", {"alpha": float("nan")}),
+        ("cost", {"alpha": float("inf")}),
+        ("process", {"a": float("-inf")}),
+        ("channel", {"gains": [float("nan")]}),
+        ("actions", {"saturation_radius": float("inf")}),
+        ("reception", {"scale": 10**400}),
+        ("grid", {"half_width": float("nan")}),
+        ("solver", {"tol_rho": float("inf")}),
+    ],
+)
+def test_non_finite_config_numbers_are_input_errors(tmp_path, capsys, section, entries):
+    # json writes and reads NaN, Infinity and -Infinity literals
+    path = _tiny_config_with(tmp_path, section, entries)
+    for command in ("solve",) if section == "grid" else ("validate", "solve"):
+        _assert_one_line_input_error(run([command, path]), capsys)
+
+
+@pytest.mark.parametrize("alpha", ["nan:1:2", "0:inf:1", "0:0.5:inf", "-inf:1:0", "nan"])
+def test_sweep_rejects_a_non_finite_alpha_range(tiny_cfg_path, tmp_path, capsys, alpha):
+    out = tmp_path / "sweep.csv"
+    code = run(["sweep", tiny_cfg_path, f"--alpha={alpha}", "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "bad --alpha range" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-4"])
+def test_verify_structure_needs_at_least_one_sample(tiny_cfg_path, capsys, samples):
+    code = run(["verify-structure", tiny_cfg_path, "--samples", samples])
+    _assert_one_line_input_error(code, capsys)

@@ -8,7 +8,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = ["01_reception_and_stability.py", "02_belief_evolution.py", "03_rearrangement.py"]
+DEMOS = [
+    "01_reception_and_stability.py",
+    "02_belief_evolution.py",
+    "03_rearrangement.py",
+    "04_solve_canonical.py",
+]
 
 
 @pytest.mark.parametrize("script", DEMOS)

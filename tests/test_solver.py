@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import make_tiny_problem
-from oracles import backward_induction_values, q_of, three_state_average_cost
+from oracles import (
+    backward_induction_values,
+    q_of,
+    structure_witness_per_state,
+    three_state_average_cost,
+)
 from remotepower import (
     ActionSet,
     ChainStructureError,
@@ -324,6 +329,48 @@ def test_structure_witness_small_at_solution(canon_solution, canon_problem):
         canon_solution.chain, canon_problem.cost, canon_solution.relative_values
     )
     assert gap <= 1e-5
+
+
+def test_structure_witness_equals_the_per_state_oracle_at_solution(
+    canon_solution, canon_problem
+):
+    args = (canon_solution.chain, canon_problem.cost, canon_solution.relative_values)
+    assert structure_witness(*args) == structure_witness_per_state(*args) == 0.0
+
+
+def _lopsided_rule(geometry, saturation_radius):
+    """4.0 above 1.5, 2.0 below -3.0, silent in between, u_max past saturation."""
+    e = np.linspace(-geometry.half_width, geometry.half_width, geometry.n_points)
+    rule = np.where(e > 1.5, 4.0, np.where(e < -3.0, 2.0, 0.0))
+    rule[np.abs(e) > saturation_radius] = 4.0
+    return rule
+
+
+@pytest.mark.parametrize(
+    "alpha, form, expected",
+    [
+        (0.5, "exponential", 0.019503156887356488),
+        (2.0, "exponential", None),
+        (0.1, "logistic", None),
+    ],
+)
+def test_structure_witness_equals_the_per_state_oracle_off_the_solution(
+    canon_problem, canon_geometry, alpha, form, expected
+):
+    problem = dataclasses.replace(
+        canon_problem,
+        cost=CostWeights(alpha=alpha),
+        reception=dataclasses.replace(canon_problem.reception, form=form),
+    )
+    rule = _lopsided_rule(canon_geometry, problem.actions.saturation_radius)
+    policy = PowerPolicy.uniform(rule, problem.actions, canon_geometry)
+    chain = build_chain(problem, canon_geometry, policy, depth=3)
+    values = evaluate_policy(chain, problem.cost).relative_values
+    witness = structure_witness(chain, problem.cost, values)
+    assert witness == structure_witness_per_state(chain, problem.cost, values)
+    assert witness > 0.0
+    if expected is not None:
+        assert witness == pytest.approx(expected, rel=1e-12)
 
 
 def test_truncation_depth_insensitivity_once_tail_is_dead():
