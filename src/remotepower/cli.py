@@ -27,7 +27,7 @@ from .belief import (
 )
 from .config import (
     ConfigError,
-    _is_number,
+    _check_simulate,
     build_geometry,
     build_problem,
     default_config,
@@ -271,26 +271,21 @@ def _cmd_evaluate(args) -> int:
 def _cmd_simulate(args) -> int:
     cfg, problem, geometry = _load(args.config)
     sim = cfg["simulate"]
-    horizon = sim["horizon"] if args.horizon is None else args.horizon
-    seed = sim["base_seed"] if args.seed is None else args.seed
-    reps = sim["replications"] if args.replications is None else args.replications
-    estimator = sim["estimator"] if args.estimator is None else args.estimator
-    for name, value in (("horizon", horizon), ("replications", reps)):
-        if not (_is_number(value, int) and value >= 1):
-            raise ConfigError(f"simulate {name} must be an integer >= 1, got {value!r}")
-    cfg["simulate"].update(
-        {"horizon": horizon, "base_seed": seed, "replications": reps, "estimator": estimator}
-    )
+    overrides = {"horizon": args.horizon, "base_seed": args.seed,
+                 "replications": args.replications, "estimator": args.estimator}
+    sim.update({key: value for key, value in overrides.items() if value is not None})
+    _check_simulate(sim)
+    seed = sim["base_seed"]
     policy = _load_policy(args.policy, problem, geometry)
     summary = replicate(
         problem,
         geometry,
         policy,
-        reps,
-        horizon,
+        sim["replications"],
+        sim["horizon"],
         seed,
         threads=args.threads,
-        estimator_mode=estimator,
+        estimator_mode=sim["estimator"],
         depth=cfg["solver"]["depth"],
         window=sim["window"],
         _trace=None if args.trace is None else (args.trace, _config_comment(cfg, seed)),
@@ -304,17 +299,19 @@ def _cmd_verify_structure(args) -> int:
     if args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     cfg, problem, geometry = _load(args.config)
+    if args.seed is not None:
+        cfg["simulate"]["base_seed"] = args.seed
+        _check_simulate(cfg["simulate"])
     if args.policy is not None:
         policy = _load_policy(args.policy, problem, geometry)
+        chain = build_chain(problem, geometry, policy, cfg["solver"]["depth"])
+        ev = evaluate_policy(chain, problem.cost)
     else:
         result = solve(problem, geometry, **_solver_args(cfg))
         if not result.converged:
             print("warning: in-process solve did not converge", file=sys.stderr)
             return EXIT_NOT_CONVERGED
-        policy = result.policy
-
-    chain = build_chain(problem, geometry, policy, cfg["solver"]["depth"])
-    ev = evaluate_policy(chain, problem.cost)
+        chain, ev = result.chain, result.evaluation
 
     rows: list[tuple[str, bool, str]] = []
 
@@ -348,8 +345,7 @@ def _cmd_verify_structure(args) -> int:
         )
     )
 
-    seed = cfg["simulate"]["base_seed"] if args.seed is None else args.seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg["simulate"]["base_seed"])
     L = problem.actions.saturation_radius
     n_thresh = problem.actions.n_levels - 1
 

@@ -77,6 +77,7 @@ def merge_config(user: dict) -> dict:
                 )
             resolved[section][key] = value
     _check_solver(resolved["solver"])
+    _check_simulate(resolved["simulate"])
     return resolved
 
 
@@ -111,6 +112,20 @@ def _check_solver(solver: dict) -> None:
     if points is not None and not (_is_number(points, int) and points >= 2):
         raise ConfigError(
             f"solver.threshold_points must be null or an integer >= 2, got {points!r}"
+        )
+
+
+def _check_simulate(sim: dict) -> None:
+    """Reject simulate entries of the wrong type or range before any rollout."""
+    for key in ("horizon", "replications", "window"):
+        if not (_is_number(sim[key], int) and sim[key] >= 1):
+            raise ConfigError(f"simulate.{key} must be an integer >= 1, got {sim[key]!r}")
+    seed = sim["base_seed"]
+    if not (_is_number(seed, int) and seed >= 0):
+        raise ConfigError(f"simulate.base_seed must be an integer >= 0, got {seed!r}")
+    if sim["estimator"] not in ("closed_form", "belief_mean"):
+        raise ConfigError(
+            f"simulate.estimator must be 'closed_form' or 'belief_mean', got {sim['estimator']!r}"
         )
 
 

@@ -5,11 +5,12 @@ geometrically for |a| > 1); everything the metrics need is a function of the
 estimation innovation, which resets on every successful transmission.  The
 plant state itself is only materialized when a trace file is requested.
 
-Policy lookups snap the innovation to the nearest grid node before applying
-the rule, so a rollout exercises exactly the decision function the chain
-evaluates, not an off-grid variant of it.  Rules and beliefs are read from the
-solver's failure-history tree, the one the chain build reads, filled only down
-to the deepest level a rollout visits.
+Policy lookups snap the innovation to the nearest grid node and read the
+rule's own power and success probability there, so a rollout exercises
+exactly the decision function the chain evaluates.  Rules and beliefs are read
+from the solver's failure-history tree, the one the chain build reads, filled
+only down to the deepest level a rollout visits; a rollout walks the tree's
+integer node ids.
 """
 
 from __future__ import annotations
@@ -29,11 +30,12 @@ from .belief import (
     GridGeometry,
     SupportOverflowError,
     _failure_center,
+    _level_success,
     mean as belief_mean,
 )
 from .model import ControlProblem, ScalarProcess
-from .policy import NodeKey, PowerPolicy
-from .solver import _HistoryTree, _success_table
+from .policy import PowerPolicy
+from .solver import _HistoryTree
 
 logger = logging.getLogger(__name__)
 
@@ -105,8 +107,9 @@ class TrajectoryMetrics:
 class _StateMemo:
     """Per-state rollout quantities read off one failure-history tree.
 
-    rows[(node, g)] is the rule's level-index row, the innovation mean at the
-    node and the failure-branch centre at the state.  The last two stay zero
+    rows[i * G + g] holds the rule's power and success probability per grid
+    node, the innovation mean at tree node i, the failure-branch centre at
+    (i, g) and the node a failure leads to.  The mean and the centre stay zero
     for the closed-form estimator, and from a node whose belief propagation
     failed.  One memo serves every replication a process runs.
     """
@@ -115,28 +118,29 @@ class _StateMemo:
                  depth: int, centred: bool):
         self.tree = _HistoryTree(problem, geometry, policy, depth)
         self.centred = centred
-        self.levels = np.asarray(problem.actions.levels)
-        self.q_rows = _success_table(problem)
-        self.rows: dict[tuple[NodeKey, int], tuple[np.ndarray, float, float]] = {}
+        self.rows: list[tuple | None] = [None] * (len(self.tree.nodes) * self.tree.n_gains)
         self._warned: set[ValueError] = set()
 
-    def fill(self, node: NodeKey, g: int) -> tuple[np.ndarray, float, float]:
-        li_row = np.searchsorted(self.levels, self.tree.action(node, g).values).astype(np.int8)
-        entry = (li_row, 0.0, 0.0)
+    def fill(self, s: int) -> tuple[np.ndarray, np.ndarray, float, float, int]:
+        tree = self.tree
+        i, g = divmod(s, tree.n_gains)
+        action = tree.action_at(i, g)
+        q = _level_success(action, tree.problem.reception, tree.problem.channel.gains[g])
+        inn_mean = centre = 0.0
         if self.centred:
             try:
-                theta = self.tree.belief(node)
+                theta = tree.belief_at(i)
             except (SupportOverflowError, DegenerateSuccessError) as exc:
                 # the tree raises one error for a node and all its descendants
                 if exc not in self._warned:
                     self._warned.add(exc)
                     logger.warning(
                         "belief propagation failed at failure history %s (%s); "
-                        "falling back to closed-form estimates from here on", node, exc)
+                        "falling back to closed-form estimates from here on",
+                        tree.nodes[i], exc)
             else:
-                centre = _failure_center(theta, self.q_rows[g][li_row])
-                entry = (li_row, belief_mean(theta), centre)
-        self.rows[(node, g)] = entry
+                inn_mean, centre = belief_mean(theta), _failure_center(theta, q)
+        entry = self.rows[s] = (action.values, q, inn_mean, centre, int(tree.child[i, g]))
         return entry
 
 
@@ -174,8 +178,7 @@ def simulate(
     centred = estimator_mode == "belief_mean"
     memo = _memo if _memo is not None else _StateMemo(problem, geometry, policy, depth, centred)
     rows = memo.rows
-    levels = memo.levels
-    q_rows = memo.q_rows
+    n_inner = memo.tree.n_inner
     E = geometry.half_width
     dx = geometry.spacing
     n_pts = geometry.n_points
@@ -188,7 +191,9 @@ def simulate(
     u_chan = chan_gen.random(horizon + 1)
     u_rec = rec_gen.random(horizon + 1)
 
-    pi_cum = np.cumsum(np.asarray(channel.transition), axis=1)
+    # next_gain[h][k]: the gain after step k from gain h
+    next_gain = [np.minimum(np.searchsorted(row, u_chan, side="right"), G - 1).tolist()
+                 for row in np.cumsum(np.asarray(channel.transition), axis=1)]
 
     trace_file = None
     writer = None
@@ -203,7 +208,7 @@ def simulate(
         )
 
     alpha = problem.cost.alpha
-    node: NodeKey = ()
+    i = 0
     g = channel.initial_gain_index
     e = float(w[0])
     x = x0
@@ -225,24 +230,22 @@ def simulate(
 
     for k in range(1, horizon + 1):
         gain_counts[g] += 1
-        at_tail = len(node) == depth
-        if at_tail:
+        if i >= n_inner:
             tail_steps += 1
-        li_row, inn_mean, center = rows.get((node, g)) or memo.fill(node, g)
+        values, q_node, inn_mean, center, fail_child = rows[i * G + g] or memo.fill(i * G + g)
         idx = int((e + E) / dx + 0.5)
         if idx < 0:
             idx = 0
         elif idx >= n_pts:
             idx = n_pts - 1
-        li = int(li_row[idx])
-        u = float(levels[li])
-        q = float(q_rows[g][li])
+        u = float(values[idx])
+        q = float(q_node[idx])
         received = u_rec[k] < q
 
         if centred and abs(inn_mean) > max_gap:
             max_gap = abs(inn_mean)
 
-        if not node:
+        if i == 0:
             root_att[g] += 1
             if received:
                 root_suc[g] += 1
@@ -274,19 +277,16 @@ def simulate(
         if received:
             successes += 1
             x_last = x
-            node = ()
+            i = 0
             steps_since = 1
             e = float(w[k])
         else:
-            if len(node) < depth:
-                node = node + (g,)
+            i = fail_child
             steps_since += 1
             e = process.a * e + float(w[k])
         if writer is not None:
             x = process.a * x + float(w[k])
-        g = int(np.searchsorted(pi_cum[g], u_chan[k], side="right"))
-        if g >= G:
-            g = G - 1
+        g = next_gain[g][k]
 
     if trace_file is not None:
         trace_file.close()

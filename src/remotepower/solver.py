@@ -10,11 +10,12 @@ linear algebra on it.
 Beliefs and rules come from one failure-history tree per policy, filled one
 level at a time on demand: the chain build reads every node of it, and the
 Monte Carlo simulator reads the nodes a rollout visits (asking for a node
-fills its whole level).  All children of a level go through one batched
-belief step, in blocks of ``belief._BLOCK_ROWS`` rows, and each distinct
-threshold rule is expanded once per tree.  Policy improvement and the
-structure witness read one greedy pass, which takes the ring argmin of
-``_BLOCK_ROWS`` states at one gain at once.
+fills its whole level).  Only the tree knows its shape; both readers walk its
+integer node ids.  All children of a level go through one batched belief
+step, in blocks of ``belief._BLOCK_ROWS`` rows, and each distinct threshold
+rule is expanded once per tree.  Policy improvement and the structure
+witness read one greedy pass, which takes the ring argmin of ``_BLOCK_ROWS``
+states at one gain at once.
 
 Depth capping makes the tail nodes approximate: their beliefs are frozen and
 they transmit at full power, so a failure at the cap self-loops.  The solver
@@ -129,14 +130,15 @@ class UnfoldedChain:
 class _HistoryTree:
     """Failure-history tree of one policy, filled one level at a time.
 
-    The rule at (node, g) is the policy's rule, or full power at the depth
-    cap; each distinct threshold rule is expanded once and shared, so its
-    success probabilities are computed once.  Asking for the belief at a node
-    fills every level down to the node's: all children of a level go through
-    one batched belief step, the parent belief propagated through a miss of
-    the parent's rule.  A child whose step fails stores its error, which is
-    raised again for that node and for every node below it; its siblings go
-    on.
+    The one owner of the tree's shape.  Nodes are numbered level by level
+    from the root 0: the child of inner node i (i < n_inner) at gain g is
+    G*i + 1 + g, and a node at the depth cap is its own child.  ``nodes``,
+    ``node_index`` and ``child`` expose that numbering.  The rule at (i, g)
+    is the policy's rule, or full power at the cap; each distinct threshold
+    rule is expanded once and shared.  Asking for a belief fills every level
+    down to the node's, all children of a level in one batched belief step.
+    A child whose step fails stores its error, which is raised again for that
+    node and for every node below it; its siblings go on.
     """
 
     def __init__(
@@ -144,22 +146,35 @@ class _HistoryTree:
     ):
         self.problem = problem
         self.policy = policy
-        self.depth = depth
+        self.n_gains = G = len(problem.channel.gains)
+        self.n_inner = sum(G**k for k in range(depth))
+        n_nodes = self.n_inner + G**depth
+        self.nodes: list[NodeKey] = [()]
+        for c in range(n_nodes - 1):
+            self.nodes.append(self.nodes[c // G] + (c % G,))
+        self.node_index = {node: i for i, node in enumerate(self.nodes)}
+        ids = np.arange(n_nodes)[:, None]
+        self.child = np.where(ids < self.n_inner, G * ids + 1 + np.arange(G), ids)
         self.root = gaussian_grid(0.0, problem.process.noise_var, geometry)
         self._full_power = max_power_action(problem.actions).as_action(
             geometry, problem.actions
         )
         self._expanded: dict[ThresholdAction, ActionFunction] = {}
-        self._actions: dict[StateKey, ActionFunction] = {}
-        self._beliefs: dict[NodeKey, BeliefGrid | ValueError] = {(): self.root}
-        self._level: list[NodeKey] = [()]
+        self._actions: dict[tuple[int, int], ActionFunction] = {}
+        self._beliefs: list[BeliefGrid | ValueError] = [self.root]
 
     def action(self, node: NodeKey, g: int) -> ActionFunction:
-        if len(node) == self.depth:
+        return self.action_at(self.node_index[node], g)
+
+    def belief(self, node: NodeKey) -> BeliefGrid:
+        return self.belief_at(self.node_index[node])
+
+    def action_at(self, i: int, g: int) -> ActionFunction:
+        if i >= self.n_inner:
             return self._full_power
-        got = self._actions.get((node, g))
+        got = self._actions.get((i, g))
         if got is None:
-            rule = self.policy.rule_for(node, g)
+            rule = self.policy.rule_for(self.nodes[i], g)
             if isinstance(rule, ThresholdAction):
                 got = self._expanded.get(rule)
                 if got is None:
@@ -167,36 +182,30 @@ class _HistoryTree:
                         self.policy.geometry, self.policy.action_set
                     )
             else:
-                got = self.policy.action_of(node, g)
-            self._actions[(node, g)] = got
+                got = self.policy.action_of(self.nodes[i], g)
+            self._actions[(i, g)] = got
         return got
 
-    def belief(self, node: NodeKey) -> BeliefGrid:
-        while len(self._level[0]) < len(node):
+    def belief_at(self, i: int) -> BeliefGrid:
+        while len(self._beliefs) <= i:
             self._fill_next_level()
-        got = self._beliefs[node]
+        got = self._beliefs[i]
         if isinstance(got, ValueError):
             raise got
         return got
 
     def _fill_next_level(self) -> None:
-        channel = self.problem.channel
-        children: list[NodeKey] = []
-        rows: list[tuple[BeliefGrid, float, ActionFunction]] = []
-        level: list[NodeKey] = []
-        for parent in self._level:
-            got = self._beliefs[parent]
-            for g, gain in enumerate(channel.gains):
-                child = parent + (g,)
-                level.append(child)
-                if isinstance(got, ValueError):
-                    self._beliefs[child] = got
-                else:
-                    children.append(child)
-                    rows.append((got, gain, self.action(parent, g)))
+        G, gains = self.n_gains, self.problem.channel.gains
+        n = len(self._beliefs)
+        # nodes n .. G * n are the children of nodes (n - 1) // G .. n - 1, in order
+        edges = [(parent, g) for parent in range((n - 1) // G, n) for g in range(G)]
+        level = [self._beliefs[parent] for parent, _ in edges]
+        live = [k for k, got in enumerate(level) if not isinstance(got, ValueError)]
+        rows = [(level[k], gains[edges[k][1]], self.action_at(*edges[k])) for k in live]
         steps = _propagate_rows(rows, self.problem.process, self.problem.reception)
-        self._beliefs.update(zip(children, steps))
-        self._level = level
+        for k, step in zip(live, steps):
+            level[k] = step
+        self._beliefs += level
 
 
 def build_chain(
@@ -223,35 +232,25 @@ def build_chain(
     G = len(channel.gains)
     pi = np.asarray(channel.transition)
 
-    nodes: list[NodeKey] = [()]
-    frontier: list[NodeKey] = [()]
-    for _ in range(depth):
-        frontier = [node + (g,) for node in frontier for g in range(G)]
-        nodes.extend(frontier)
-    node_index = {node: i for i, node in enumerate(nodes)}
-    n_nodes = len(nodes)
-    child = np.empty((n_nodes, G), dtype=int)
-    for i, node in enumerate(nodes):
-        for g in range(G):
-            child[i, g] = node_index[node + (g,)] if len(node) < depth else i
-
     tree = _HistoryTree(problem, geometry, policy, depth)
+    nodes, child = tree.nodes, tree.child
+    n_nodes = len(nodes)
     beliefs: list[BeliefGrid] = [tree.root] * n_nodes
     virtual = np.zeros(n_nodes, dtype=bool)
-    tail = np.array([len(node) == depth for node in nodes])
+    tail = np.arange(n_nodes) >= tree.n_inner
     S = n_nodes * G
-    actions = [tree.action(node, g) for node in nodes for g in range(G)]
+    actions = [tree.action_at(i, g) for i in range(n_nodes) for g in range(G)]
     phi = np.empty(S)
     power = np.empty(S)
     distortion = np.empty(S)
 
-    for i, node in enumerate(nodes):
+    for i in range(n_nodes):
         if i and not virtual[i]:
             try:
-                beliefs[i] = tree.belief(node)
+                beliefs[i] = tree.belief_at(i)
             except SupportOverflowError as err:
                 raise SupportOverflowError(
-                    f"belief after failure history {node} overflowed: {err}"
+                    f"belief after failure history {nodes[i]} overflowed: {err}"
                 ) from err
         masses = beliefs[i].cell_masses()
         for g, gain in enumerate(channel.gains):
@@ -279,7 +278,7 @@ def build_chain(
         geometry=geometry,
         depth=depth,
         nodes=nodes,
-        node_index=node_index,
+        node_index=tree.node_index,
         child=child,
         beliefs=beliefs,
         actions=actions,
@@ -764,7 +763,7 @@ def state_action_value(
     gain = problem.channel.gains[g]
     belief = chain.beliefs[i]
     phi = success_prob(belief, gain, action, problem.reception)
-    c = chain.child[i, g] if not chain.tail_mask[i] else i
+    c = chain.child[i, g]
     v_child = values[c * chain.n_gains : (c + 1) * chain.n_gains]
     v_root = values[0 : chain.n_gains]
     cont = float(pi @ (phi * v_root + (1.0 - phi) * v_child))

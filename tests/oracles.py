@@ -32,6 +32,7 @@ from remotepower import (
     state_action_value,
 )
 from remotepower.policy import max_power_action
+from remotepower.simulator import STREAM_CHANNEL
 
 
 def q_of(reception, u: float, gain: float) -> float:
@@ -134,6 +135,23 @@ def propagate_fftconvolve(belief, gain: float, action, process, reception) -> np
     if 1.0 - float(cell_w @ raw) > 1e-6:
         raise SupportOverflowError("propagated belief escaped the grid")
     return raw / float(cell_w @ raw)
+
+
+def gain_path(channel, horizon: int, seed: int, replication: int = 0) -> list[int]:
+    """The channel gain index at each of a rollout's steps 1 .. horizon,
+    walked one step at a time: after step k the next gain is the first index
+    whose cumulative transition probability from the current gain exceeds
+    the channel stream's k-th uniform (the last index if rounding leaves
+    none)."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(replication, STREAM_CHANNEL))
+    u = np.random.Generator(np.random.Philox(seq)).random(horizon + 1)
+    cum = np.cumsum(np.asarray(channel.transition), axis=1)
+    g = channel.initial_gain_index
+    path = []
+    for k in range(1, horizon + 1):
+        path.append(g)
+        g = min(int(np.searchsorted(cum[g], u[k], side="right")), channel.n_gains - 1)
+    return path
 
 
 def chain_per_node(problem, geometry, policy, depth: int) -> dict:

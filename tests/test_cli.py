@@ -375,3 +375,33 @@ def test_sweep_rejects_a_non_finite_alpha_range(tiny_cfg_path, tmp_path, capsys,
 def test_verify_structure_needs_at_least_one_sample(tiny_cfg_path, capsys, samples):
     code = run(["verify-structure", tiny_cfg_path, "--samples", samples])
     _assert_one_line_input_error(code, capsys)
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-structure"])
+@pytest.mark.parametrize(
+    "entries",
+    [
+        {"window": float("nan")},
+        {"window": 0},
+        {"window": -5},
+        {"window": 2.5},
+        {"base_seed": float("nan")},
+        {"base_seed": -1},
+        {"base_seed": 1.5},
+        {"base_seed": "7"},
+        {"estimator": "bogus"},
+    ],
+)
+def test_bad_simulate_settings_are_input_errors(tmp_path, solved, capsys, command, entries):
+    solution_path, _ = solved
+    path = _tiny_config_with(tmp_path, "simulate", entries)
+    code = run([command, path, "--policy", str(solution_path)])
+    _assert_one_line_input_error(code, capsys)
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify-structure"])
+@pytest.mark.parametrize("seed", ["-1", "1.5"])
+def test_bad_seed_flag_is_an_input_error(tiny_cfg_path, solved, capsys, command, seed):
+    solution_path, _ = solved
+    code = run([command, tiny_cfg_path, "--policy", str(solution_path), "--seed", seed])
+    _assert_one_line_input_error(code, capsys)

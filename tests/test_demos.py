@@ -13,6 +13,8 @@ DEMOS = [
     "02_belief_evolution.py",
     "03_rearrangement.py",
     "04_solve_canonical.py",
+    "05_simulate_consistency.py",
+    "06_baselines_and_tradeoff.py",
 ]
 
 

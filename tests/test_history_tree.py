@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from oracles import chain_per_node, propagate_fftconvolve
+from oracles import chain_per_node, gain_path, propagate_fftconvolve
 from remotepower import (
     ActionSet,
     ControlProblem,
@@ -155,3 +155,46 @@ def test_canonical_answer_is_pinned(canon_solution):
     assert canon_solution.rho_star == frozen["rho_star"]
     assert canon_solution.rho_history == frozen["rho_history"]
     assert canon_solution.tail_occupancy == frozen["tail_occupancy"]
+
+
+def three_gain_problem():
+    return ControlProblem(
+        process=ScalarProcess(a=1.2, noise_var=1.0),
+        channel=FadingChannel(
+            gains=(0.5, 1.0, 2.0),
+            transition=((0.5, 0.3, 0.2), (0.2, 0.5, 0.3), (0.1, 0.3, 0.6)),
+            initial_gain_index=1,
+        ),
+        reception=ReceptionModel(form="exponential", scale=1.0),
+        actions=ActionSet(levels=(0.0, 4.0), saturation_radius=6.0),
+        cost=CostWeights(alpha=0.5),
+    )
+
+
+@pytest.mark.parametrize("gains", [3, 1])
+def test_node_numbering_follows_the_gain_histories(tiny_problem, tiny_geometry, gains):
+    problem = three_gain_problem() if gains == 3 else tiny_problem
+    policy = PowerPolicy.on_off(1.5, problem.actions, tiny_geometry)
+    chain = build_chain(problem, tiny_geometry, policy, depth=3)
+    assert chain.n_gains == gains
+    assert chain.n_nodes == sum(gains**k for k in range(4))
+    assert len(chain.node_index) == chain.n_nodes
+    for i, node in enumerate(chain.nodes):
+        assert chain.node_index[node] == i
+        assert chain.tail_mask[i] == (len(node) == 3)
+        for g in range(gains):
+            if chain.tail_mask[i]:
+                assert chain.child[i, g] == i
+            else:
+                assert chain.nodes[chain.child[i, g]] == node + (g,)
+
+
+def test_rollout_gains_follow_the_channel_stream(tiny_geometry):
+    problem = three_gain_problem()
+    policy = PowerPolicy.on_off(1.5, problem.actions, tiny_geometry)
+    horizon, seed, replication = 5000, 21, 2
+    m = simulate(problem, tiny_geometry, policy, "closed_form", horizon, seed,
+                 depth=3, replication=replication)
+    counts = np.bincount(gain_path(problem.channel, horizon, seed, replication), minlength=3)
+    assert min(counts) > 0
+    assert m.gain_occupancy == [c / horizon for c in counts.tolist()]

@@ -205,3 +205,13 @@ def test_propagation_failure_is_logged_once_at_its_history(tiny_problem, tiny_ge
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert "failure history (0, 0, 0, 0, 0) " in warnings[0]
+
+
+@pytest.mark.parametrize("mode", ["closed_form", "belief_mean"])
+def test_off_level_rule_transmits_its_own_power(tiny_problem, tiny_geometry, mode):
+    # 1.5 is no power level: the rollout must send 1.5, as the chain
+    # evaluates the rule, and full power (4.0) only at the depth cap
+    policy = PowerPolicy.constant(1.5, tiny_problem.actions, tiny_geometry)
+    m = simulate(tiny_problem, tiny_geometry, policy, mode, 20_000, 3, depth=3)
+    assert m.tail_fraction > 0.0
+    assert m.avg_power == pytest.approx(1.5 + 2.5 * m.tail_fraction, rel=1e-12)
