@@ -19,11 +19,8 @@ import numpy as np
 from .belief import (
     ActionFunction,
     BeliefGrid,
-    DegenerateSuccessError,
     GridGeometryError,
     SupportOverflowError,
-    propagate,
-    stage_cost,
 )
 from .config import (
     ConfigError,
@@ -40,24 +37,21 @@ from .model import (
     validate_channel,
     validate_stability,
 )
-from .policy import PowerPolicy, ThresholdAction, check_symmetric_monotone
-from .rearrange import random_relation_pair, rearranged_action, relation_R
+from .policy import PowerPolicy
+from .rearrange import rearranged_action
 from .simulator import replicate
 from .solver import (
     ChainStructureError,
     build_chain,
     evaluate_policy,
     solve,
-    structure_witness,
+    verify_structure,
 )
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_BAD_INPUT = 3
-
-STRUCTURE_GAP_TOL = 1e-5
-COST_ORDER_TOL = 1e-6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -313,113 +307,7 @@ def _cmd_verify_structure(args) -> int:
             return EXIT_NOT_CONVERGED
         chain, ev = result.chain, result.evaluation
 
-    rows: list[tuple[str, bool, str]] = []
-
-    shape_bad = 0
-    first_reason = ""
-    checked = 0
-    for state in range(chain.n_states):
-        node_i = state // chain.n_gains
-        if chain.tail_mask[node_i] or chain.virtual_mask[node_i]:
-            continue
-        checked += 1
-        report = check_symmetric_monotone(chain.actions[state])
-        if not report:
-            shape_bad += 1
-            if not first_reason:
-                first_reason = report.reason
-    rows.append(
-        (
-            "actions symmetric and outward monotone",
-            shape_bad == 0,
-            f"{checked} states" if shape_bad == 0 else f"{shape_bad} violations: {first_reason}",
-        )
-    )
-
-    gap = structure_witness(chain, problem.cost, ev.relative_values)
-    rows.append(
-        (
-            "threshold class optimal in one-step backup",
-            gap <= STRUCTURE_GAP_TOL,
-            f"max tabular advantage {gap:.3e} (tol {STRUCTURE_GAP_TOL:g})",
-        )
-    )
-
-    rng = np.random.default_rng(cfg["simulate"]["base_seed"])
-    L = problem.actions.saturation_radius
-    n_thresh = problem.actions.n_levels - 1
-
-    def probe_action():
-        radii = np.sort(rng.uniform(0.05 * L, 0.95 * L, size=n_thresh))
-        return ThresholdAction(tuple(float(r) for r in radii)).as_action(
-            geometry, problem.actions
-        )
-
-    worst_margin = float("inf")
-    cost_bad = 0
-    for _ in range(args.samples):
-        theta, theta_hat = random_relation_pair(geometry, rng, max_radius=L)
-        action = probe_action()
-        gain = float(rng.choice(problem.channel.gains))
-        twin = rearranged_action(action, theta, theta_hat)
-        margin = stage_cost(theta, gain, action, problem.reception, problem.cost) - stage_cost(
-            theta_hat, gain, twin, problem.reception, problem.cost
-        )
-        worst_margin = min(worst_margin, margin)
-        if margin < -COST_ORDER_TOL:
-            cost_bad += 1
-    rows.append(
-        (
-            "rearranged rule never costs more",
-            cost_bad == 0,
-            f"{args.samples} probes, worst margin {worst_margin:.3e}",
-        )
-    )
-
-    # Differences between the pair must stay clear of the saturation boundary:
-    # the plant stretch plus the noise kernel leaks interior differences past L,
-    # so the tail-equality clause survives one update only for pairs differing
-    # inside (L - 6*sigma_w)/a.
-    sigma_w = problem.process.noise_var**0.5
-    order_radius = (L - 6.0 * sigma_w) / abs(problem.process.a)
-    order_bad = 0
-    order_checked = 0
-    if order_radius >= 10.0 * geometry.spacing:
-        for _ in range(args.samples):
-            theta, theta_hat = random_relation_pair(geometry, rng, max_radius=order_radius)
-            action = probe_action()
-            gain = float(rng.choice(problem.channel.gains))
-            twin = rearranged_action(action, theta, theta_hat)
-            try:
-                theta_next = propagate(
-                    theta, gain, action, 0, problem.process, problem.reception
-                )
-                twin_next = propagate(
-                    theta_hat, gain, twin, 0, problem.process, problem.reception
-                )
-            except DegenerateSuccessError:
-                continue
-            order_checked += 1
-            if not relation_R(
-                theta_next, twin_next, L, majorization_slack=1e-6, tail_tol=1e-7
-            ):
-                order_bad += 1
-        rows.append(
-            (
-                "belief order survives a failed transmission",
-                order_bad == 0,
-                f"{order_checked} probes",
-            )
-        )
-    else:
-        rows.append(
-            (
-                "belief order survives a failed transmission",
-                True,
-                "skipped: saturation radius too tight for a leak-free probe region",
-            )
-        )
-
+    rows = verify_structure(chain, ev, samples=args.samples, seed=cfg["simulate"]["base_seed"])
     ok = _print_table(rows)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

@@ -8,7 +8,7 @@ raising so the CLI can print diagnostics and pick an exit code.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -187,7 +187,7 @@ class ValidationReport:
     messages: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"ok": self.ok, "checks": dict(self.checks), "messages": list(self.messages)}
+        return asdict(self)
 
 
 def validate_channel(channel: FadingChannel) -> ValidationReport:

@@ -19,7 +19,7 @@ import csv
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.signal import lfilter
@@ -86,22 +86,7 @@ class TrajectoryMetrics:
     error_windows: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "replication": self.replication,
-            "estimator_mode": self.estimator_mode,
-            "avg_cost": self.avg_cost,
-            "avg_power": self.avg_power,
-            "avg_error": self.avg_error,
-            "success_rate": self.success_rate,
-            "gain_occupancy": list(self.gain_occupancy),
-            "root_attempts": list(self.root_attempts),
-            "root_successes": list(self.root_successes),
-            "tail_fraction": self.tail_fraction,
-            "max_estimator_gap": self.max_estimator_gap,
-            "error_windows": list(self.error_windows),
-        }
+        return asdict(self)
 
 
 class _StateMemo:
@@ -172,6 +157,8 @@ def simulate(
         raise ValueError("estimator_mode must be 'closed_form' or 'belief_mean'")
     if horizon < 1:
         raise ValueError("horizon must be positive")
+    if not (isinstance(window, int) and not isinstance(window, bool) and window >= 1):
+        raise ValueError(f"window must be an integer >= 1, got {window!r}")
     channel = problem.channel
     process = problem.process
     G = len(channel.gains)
@@ -325,18 +312,7 @@ class ReplicationSummary:
     per_replication: list[TrajectoryMetrics]
 
     def to_dict(self) -> dict:
-        return {
-            "replications": self.replications,
-            "horizon": self.horizon,
-            "costs": list(self.costs),
-            "cost_mean": self.cost_mean,
-            "cost_se": self.cost_se,
-            "power_mean": self.power_mean,
-            "error_mean": self.error_mean,
-            "success_rate_mean": self.success_rate_mean,
-            "max_estimator_gap": self.max_estimator_gap,
-            "per_replication": [m.to_dict() for m in self.per_replication],
-        }
+        return asdict(self)
 
 
 def _replicate_worker(args) -> list[TrajectoryMetrics]:

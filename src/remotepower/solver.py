@@ -31,6 +31,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import spsolve
 
 from .belief import (
@@ -38,6 +39,7 @@ from .belief import (
     _BLOCK_ROWS,
     ActionFunction,
     BeliefGrid,
+    DegenerateSuccessError,
     GridGeometry,
     SupportOverflowError,
     _failure_center,
@@ -47,6 +49,7 @@ from .belief import (
     _propagate_rows,
     expected_power,
     gaussian_grid,
+    propagate,
     stage_cost,
     success_prob,
 )
@@ -57,15 +60,19 @@ from .policy import (
     Rule,
     StateKey,
     ThresholdAction,
+    check_symmetric_monotone,
     extract_threshold_action,
     max_power_action,
     threshold_grid,
 )
+from .rearrange import random_relation_pair, rearranged_action, relation_R
 
 STATIONARY_RESIDUAL_TOL = 1e-10
 RHO_CROSSCHECK_TOL = 1e-8
 CENTER_SNAP_TOL = 1e-9
 CENTER_ITERATIONS = 5
+STRUCTURE_GAP_TOL = 1e-5
+COST_ORDER_TOL = 1e-6
 
 
 class ChainStructureError(RuntimeError):
@@ -301,17 +308,8 @@ def _node_rule_terms(
 
 
 def _reachable_states(P: sp.csr_matrix, seeds: list[int]) -> np.ndarray:
-    seen = np.zeros(P.shape[0], dtype=bool)
-    stack = list(seeds)
-    while stack:
-        s = stack.pop()
-        if seen[s]:
-            continue
-        seen[s] = True
-        for t in P.indices[P.indptr[s] : P.indptr[s + 1]]:
-            if not seen[t]:
-                stack.append(t)
-    return np.nonzero(seen)[0]
+    return np.unique(np.concatenate([breadth_first_order(P, s, return_predecessors=False)
+                                     for s in seeds]))
 
 
 def _stationary_on(P: sp.csr_matrix, reach: np.ndarray) -> np.ndarray:
@@ -547,7 +545,7 @@ def improve_policy(
     # radii (each distinct ring choice is fitted once, as greedy rules repeat
     # across states); otherwise the state falls back to tabular refinement
     rules: dict[StateKey, Rule] = {}
-    fitted: dict[bytes, ThresholdAction | None] = {}
+    fitted: dict[bytes, ThresholdAction] = {}
     for i, g, gap, choice, center in _greedy_states(chain, q_by_gain, weights, values, discount):
         node, belief = chain.nodes[i], chain.beliefs[i]
         if switch_grid is not None:
@@ -560,8 +558,7 @@ def improve_policy(
                 fitted[key] = extract_threshold_action(
                     _mirror(levels[choice]), chain.geometry, problem.actions
                 )
-            rule = fitted[key]
-            rules[(node, g)] = rule if rule is not None else _mirror(levels[choice])
+            rules[(node, g)] = fitted[key]
         else:
             rules[(node, g)] = levels[_improve_state_tabular(
                 belief, problem.actions, q_by_gain[g], weights.alpha, gap, center
@@ -800,3 +797,90 @@ def structure_witness(
         )
         worst = max(worst, backup(i, g, masses, _mirror(choice)) - backup(i, g, masses, tabular))
     return worst
+
+
+def _probes(
+    chain: UnfoldedChain, rng: np.random.Generator, max_radius: float, count: int
+) -> Iterator[tuple[BeliefGrid, BeliefGrid, ActionFunction, ActionFunction, float]]:
+    """`count` randomized structure probes, drawn one at a time from `rng`.
+
+    Each is a relation pair (theta, its rearrangement theta_hat) differing
+    inside `max_radius`, a threshold rule with sorted uniform switch radii, its
+    rearranged twin, and a channel gain; the draws go pair, radii, gain.
+    """
+    problem, geometry = chain.problem, chain.geometry
+    L = problem.actions.saturation_radius
+    for _ in range(count):
+        theta, theta_hat = random_relation_pair(geometry, rng, max_radius=max_radius)
+        radii = np.sort(rng.uniform(0.05 * L, 0.95 * L, size=problem.actions.n_levels - 1))
+        action = ThresholdAction(tuple(float(r) for r in radii)).as_action(
+            geometry, problem.actions
+        )
+        gain = float(rng.choice(problem.channel.gains))
+        yield theta, theta_hat, action, rearranged_action(action, theta, theta_hat), gain
+
+
+def verify_structure(
+    chain: UnfoldedChain, evaluation: EvaluationResult, *, samples: int, seed: int | None
+) -> list[tuple[str, bool, str]]:
+    """The structural checks on a policy's chain, as (name, ok, detail) rows.
+
+    Rule shape on every non-tail, non-virtual state; the structure witness at
+    the evaluation's relative values; and `samples` randomized probes, drawn
+    from one generator seeded with `seed`, of the rearrangement's cost order
+    and of the belief order across a failed transmission.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    problem = chain.problem
+    inner = np.flatnonzero(~np.repeat(chain.tail_mask | chain.virtual_mask, chain.n_gains))
+    reports = [check_symmetric_monotone(chain.actions[s]) for s in inner]
+    bad = [r for r in reports if not r]
+    rows = [(
+        "actions symmetric and outward monotone",
+        not bad,
+        f"{len(bad)} violations: {bad[0].reason}" if bad else f"{len(inner)} states",
+    )]
+
+    gap = structure_witness(chain, problem.cost, evaluation.relative_values)
+    rows.append((
+        "threshold class optimal in one-step backup",
+        gap <= STRUCTURE_GAP_TOL,
+        f"max tabular advantage {gap:.3e} (tol {STRUCTURE_GAP_TOL:g})",
+    ))
+
+    rng = np.random.default_rng(seed)
+    L = problem.actions.saturation_radius
+    worst = min(
+        stage_cost(theta, gain, action, problem.reception, problem.cost)
+        - stage_cost(theta_hat, gain, twin, problem.reception, problem.cost)
+        for theta, theta_hat, action, twin, gain in _probes(chain, rng, L, samples)
+    )
+    rows.append((
+        "rearranged rule never costs more",
+        worst >= -COST_ORDER_TOL,
+        f"{samples} probes, worst margin {worst:.3e}",
+    ))
+
+    # Differences between the pair must stay clear of the saturation boundary:
+    # the plant stretch plus the noise kernel leaks interior differences past L,
+    # so the tail-equality clause survives one update only for pairs differing
+    # inside (L - 6*sigma_w)/a.
+    name = "belief order survives a failed transmission"
+    order_radius = (L - 6.0 * problem.process.noise_var**0.5) / abs(problem.process.a)
+    if order_radius < 10.0 * chain.geometry.spacing:
+        rows.append(
+            (name, True, "skipped: saturation radius too tight for a leak-free probe region")
+        )
+        return rows
+    checked = broken = 0
+    for theta, theta_hat, action, twin, gain in _probes(chain, rng, order_radius, samples):
+        try:
+            theta_next = propagate(theta, gain, action, 0, problem.process, problem.reception)
+            twin_next = propagate(theta_hat, gain, twin, 0, problem.process, problem.reception)
+        except DegenerateSuccessError:
+            continue
+        checked += 1
+        broken += not relation_R(theta_next, twin_next, L, majorization_slack=1e-6, tail_tol=1e-7)
+    rows.append((name, broken == 0, f"{checked} probes"))
+    return rows

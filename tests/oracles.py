@@ -385,3 +385,16 @@ def best_one_threshold_policy(problem, geometry, depth: int, grid):
             best_rho = rho
             best_combo = combo
     return best_rho, best_combo
+
+
+def reachable_states_dfs(P: sp.csr_matrix, seeds) -> np.ndarray:
+    """States reachable from `seeds` along the stored entries of P, by an
+    explicit-stack depth-first walk over the CSR rows."""
+    seen = np.zeros(P.shape[0], dtype=bool)
+    stack = list(seeds)
+    while stack:
+        s = stack.pop()
+        if not seen[s]:
+            seen[s] = True
+            stack.extend(int(t) for t in P.indices[P.indptr[s] : P.indptr[s + 1]])
+    return np.flatnonzero(seen)

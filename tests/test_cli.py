@@ -1,13 +1,23 @@
 """Command-line front end, exercised in process through run()."""
 
 import json
+import os
 
+import numpy as np
 import pytest
 
 import remotepower.cli as cli
 import remotepower.simulator as simulator
 from conftest import TINY_CONFIG
-from remotepower import DEFAULT_CONFIG
+from remotepower import (
+    DEFAULT_CONFIG,
+    PowerPolicy,
+    build_geometry,
+    build_problem,
+    load_config,
+    solve,
+    verify_structure,
+)
 from remotepower.cli import run
 
 
@@ -405,3 +415,50 @@ def test_bad_seed_flag_is_an_input_error(tiny_cfg_path, solved, capsys, command,
     solution_path, _ = solved
     code = run([command, tiny_cfg_path, "--policy", str(solution_path), "--seed", seed])
     _assert_one_line_input_error(code, capsys)
+
+
+def _tiny_setup(tiny_cfg_path):
+    cfg = load_config(tiny_cfg_path)
+    problem = build_problem(cfg)
+    return cfg, problem, build_geometry(cfg, problem)
+
+
+def test_verify_structure_fails_a_lopsided_policy(tiny_cfg_path, tmp_path, capsys):
+    _, problem, geometry = _tiny_setup(tiny_cfg_path)
+    nodes = geometry.nodes()
+    rule = np.where((nodes > 1) | (np.abs(nodes) > 6), 4.0, 0.0)
+    path = tmp_path / "lopsided.json"
+    path.write_text(json.dumps(PowerPolicy.uniform(rule, problem.actions, geometry).to_dict()))
+    code = run(["verify-structure", tiny_cfg_path, "--policy", str(path), "--samples", "20"])
+    assert code == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "actions symmetric and outward monotone       FAIL  3 violations: asymmetric at mirrored nodes",
+        "threshold class optimal in one-step backup   FAIL  max tabular advantage 2.358e-02 (tol 1e-05)",
+        "rearranged rule never costs more             PASS  20 probes, worst margin 1.829e-01",
+        "belief order survives a failed transmission  PASS  skipped: saturation radius too tight for a leak-free probe region",
+    ]
+
+
+def test_verify_structure_on_the_frozen_canonical_policy(capsys):
+    inputs = os.path.join(os.path.dirname(__file__), "..", "bench", "inputs")
+    code = run([
+        "verify-structure", os.path.join(inputs, "check-canonical.json"),
+        "--policy", os.path.join(inputs, "canonical_policy.json"),
+        "--seed", "1", "--samples", "400",
+    ])
+    shape, witness, cost_order, belief_order = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert shape.endswith("PASS  510 states")
+    assert "max tabular advantage 0.000e+00" in witness
+    assert "worst margin 4.470e-02" in cost_order
+    assert belief_order.endswith("PASS  400 probes")
+
+
+def test_verify_structure_rows_are_what_the_cli_prints(tiny_cfg_path, capsys):
+    assert run(["verify-structure", tiny_cfg_path, "--seed", "3", "--samples", "40"]) == 0
+    printed = capsys.readouterr().out
+    cfg, problem, geometry = _tiny_setup(tiny_cfg_path)
+    result = solve(problem, geometry, **cli._solver_args(cfg))
+    rows = verify_structure(result.chain, result.evaluation, samples=40, seed=3)
+    assert cli._print_table(rows)
+    assert capsys.readouterr().out == printed

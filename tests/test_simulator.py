@@ -215,3 +215,13 @@ def test_off_level_rule_transmits_its_own_power(tiny_problem, tiny_geometry, mod
     m = simulate(tiny_problem, tiny_geometry, policy, mode, 20_000, 3, depth=3)
     assert m.tail_fraction > 0.0
     assert m.avg_power == pytest.approx(1.5 + 2.5 * m.tail_fraction, rel=1e-12)
+
+
+@pytest.mark.parametrize("window", [0, -5, 2.5, True])
+def test_window_must_be_a_positive_integer(tiny_problem, tiny_geometry, window):
+    policy = PowerPolicy.on_off(1.5, tiny_problem.actions, tiny_geometry)
+    with pytest.raises(ValueError, match="window"):
+        simulate(tiny_problem, tiny_geometry, policy, "closed_form", 100, 1, depth=3,
+                 window=window)
+    with pytest.raises(ValueError, match="window"):
+        replicate(tiny_problem, tiny_geometry, policy, 2, 100, 1, depth=3, window=window)

@@ -9,6 +9,7 @@ from conftest import make_tiny_problem
 from oracles import (
     backward_induction_values,
     q_of,
+    reachable_states_dfs,
     structure_witness_per_state,
     three_state_average_cost,
 )
@@ -39,7 +40,9 @@ from remotepower import (
     structure_witness,
     threshold_grid,
     variance,
+    verify_structure,
 )
+from remotepower.solver import _reachable_states
 
 
 def certain_reception_problem(alpha=0.5):
@@ -413,3 +416,31 @@ def test_solve_discounted_matches_backward_induction(tiny_problem, tiny_geometry
     assert np.max(np.abs(dp - result.values)) <= 1e-6
     assert result.min_value() == result.values.min()
     assert result.min_value() >= 0.0
+
+
+def test_reachable_states_match_a_depth_first_walk(canon_solution, canon_problem, canon_geometry):
+    rule = _lopsided_rule(canon_geometry, canon_problem.actions.saturation_radius)
+    lopsided = build_chain(
+        canon_problem, canon_geometry,
+        PowerPolicy.uniform(rule, canon_problem.actions, canon_geometry), depth=3,
+    )
+    problem, geometry = certain_reception_problem(), GridGeometry(half_width=20.0, n_points=401)
+    certain = build_chain(
+        problem, geometry, PowerPolicy.max_power(problem.actions, geometry), depth=3
+    )
+    for chain in (canon_solution.chain, lopsided, certain):
+        for seeds in (list(range(chain.n_gains)), [0, chain.n_states - 1]):
+            got = _reachable_states(chain.P, seeds)
+            assert np.array_equal(got, reachable_states_dfs(chain.P, seeds))
+    # every transmission succeeds, so only the root states are reachable
+    assert np.array_equal(_reachable_states(certain.P, [0]), [0])
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_verify_structure_needs_at_least_one_sample(tiny_problem, tiny_geometry, samples):
+    chain = build_chain(
+        tiny_problem, tiny_geometry, PowerPolicy.max_power(tiny_problem.actions, tiny_geometry), 3
+    )
+    evaluation = evaluate_policy(chain, tiny_problem.cost)
+    with pytest.raises(ValueError, match="samples"):
+        verify_structure(chain, evaluation, samples=samples, seed=1)
