@@ -263,6 +263,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     cfg, problem, geometry = _load(args.config)
     sim = cfg["simulate"]
     overrides = {"horizon": args.horizon, "base_seed": args.seed,

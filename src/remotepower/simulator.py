@@ -22,7 +22,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import logsumexp
 
 from .belief import (
@@ -42,6 +41,11 @@ logger = logging.getLogger(__name__)
 STREAM_NOISE = 0
 STREAM_CHANNEL = 1
 STREAM_RECEPTION = 2
+
+
+def _is_int(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _generator(base_seed: int, replication: int, stream: int) -> np.random.Generator:
@@ -157,7 +161,7 @@ def simulate(
         raise ValueError("estimator_mode must be 'closed_form' or 'belief_mean'")
     if horizon < 1:
         raise ValueError("horizon must be positive")
-    if not (isinstance(window, int) and not isinstance(window, bool) and window >= 1):
+    if not (_is_int(window) and window >= 1):
         raise ValueError(f"window must be an integer >= 1, got {window!r}")
     channel = problem.channel
     process = problem.process
@@ -354,7 +358,9 @@ def replicate(
     """
     if replications < 1:
         raise ValueError("need at least one replication")
-    n_jobs = max(1, min(threads, replications))
+    if not (_is_int(threads) and threads >= 1):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    n_jobs = min(threads, replications)
     cuts = [replications * k // n_jobs for k in range(n_jobs + 1)]
     jobs = [
         (problem, geometry, policy, estimator_mode, horizon, base_seed, range(lo, hi),
@@ -395,6 +401,10 @@ def error_growth_windows(
     with logsumexp.  Returns log E-hat[e^2] per window; for an unstable plant
     these should increase roughly linearly at rate 2 log a.
     """
+    if not (_is_int(window) and _is_int(horizon) and 1 <= window <= horizon):
+        raise ValueError(
+            f"need integers 1 <= window <= horizon, got window={window!r}, horizon={horizon!r}"
+        )
     a = process.a
     if a <= 0:
         raise ValueError("growth diagnostic assumes a positive plant coefficient")
@@ -409,6 +419,10 @@ def error_growth_windows(
             s = np.cumsum(w * np.exp(-k * math.log(a)))
             log_e2 = 2.0 * np.log(np.abs(s)) + 2.0 * k * math.log(a)
         else:
+            # scipy.signal pulls in scipy.stats, .interpolate and .optimize:
+            # load it here, not with the package
+            from scipy.signal import lfilter
+
             e = lfilter([1.0], [1.0, -a], w)
             log_e2 = 2.0 * np.log(np.abs(e))
     out = []

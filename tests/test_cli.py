@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -409,6 +411,13 @@ def test_bad_simulate_settings_are_input_errors(tmp_path, solved, capsys, comman
     _assert_one_line_input_error(code, capsys)
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_simulate_needs_at_least_one_thread(tiny_cfg_path, solved, capsys, threads):
+    solution_path, _ = solved
+    code = run(["simulate", tiny_cfg_path, "--policy", str(solution_path), "--threads", threads])
+    _assert_one_line_input_error(code, capsys)
+
+
 @pytest.mark.parametrize("command", ["simulate", "verify-structure"])
 @pytest.mark.parametrize("seed", ["-1", "1.5"])
 def test_bad_seed_flag_is_an_input_error(tiny_cfg_path, solved, capsys, command, seed):
@@ -462,3 +471,34 @@ def test_verify_structure_rows_are_what_the_cli_prints(tiny_cfg_path, capsys):
     rows = verify_structure(result.chain, result.evaluation, samples=40, seed=3)
     assert cli._print_table(rows)
     assert capsys.readouterr().out == printed
+
+
+_IMPORT_GUARD = """
+import sys
+import remotepower, remotepower.cli
+from remotepower.cli import run
+
+HEAVY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize")
+
+def loaded():
+    return [m for m in HEAVY if m in sys.modules]
+
+assert not loaded(), f"import loads {loaded()}"
+config, solution = sys.argv[1:]
+assert run(["solve", config, "-o", solution]) == 0
+assert run(["simulate", config, "--policy", solution, "-o", solution + ".sim"]) == 0
+assert run(["verify-structure", config, "--samples", "5"]) == 0
+assert not loaded(), f"the commands load {loaded()}"
+"""
+
+
+def test_commands_never_load_scipy_signal(tiny_cfg_path, tmp_path):
+    # a fresh interpreter: this one has imported everything the suite uses
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, tiny_cfg_path, str(tmp_path / "solution.json")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -15,6 +15,7 @@ DEMOS = [
     "04_solve_canonical.py",
     "05_simulate_consistency.py",
     "06_baselines_and_tradeoff.py",
+    "07_discounted_link.py",
 ]
 
 

@@ -145,6 +145,23 @@ def test_error_growth_windows_diverge_only_when_unstable():
         error_growth_windows(ScalarProcess(a=-0.5, noise_var=1.0), 1000, 100, 1)
 
 
+def test_error_growth_windows_are_pinned():
+    # bit for bit, on the lfilter branch (a <= 1) and the rescaled-cumsum branch (a > 1)
+    stable = error_growth_windows(ScalarProcess(a=0.5, noise_var=1.0), 50_000, 10_000, 1)
+    assert stable == [0.24106961832313445, 0.28776440213625776, 0.25621579175623665,
+                      0.27539516800140973, 0.30001883601541657]
+    unstable = error_growth_windows(ScalarProcess(a=1.2, noise_var=1.0), 50_000, 10_000, 1)
+    assert unstable == [3639.8441835122744, 7286.275319391366, 10932.70645527046,
+                        14579.13759114955, 18225.56872702864]
+
+
+@pytest.mark.parametrize("horizon, window", [(1000, 0), (1000, -5), (1000, 2.5), (1000, True),
+                                             (99, 100)])
+def test_error_growth_windows_need_a_window_within_the_horizon(horizon, window):
+    with pytest.raises(ValueError, match="window"):
+        error_growth_windows(ScalarProcess(a=0.5, noise_var=1.0), horizon, window, 1)
+
+
 def test_trace_file_records_the_loop(tiny_problem, tiny_geometry, tmp_path):
     path = tmp_path / "trace.csv"
     policy = PowerPolicy.max_power(tiny_problem.actions, tiny_geometry)
@@ -225,3 +242,10 @@ def test_window_must_be_a_positive_integer(tiny_problem, tiny_geometry, window):
                  window=window)
     with pytest.raises(ValueError, match="window"):
         replicate(tiny_problem, tiny_geometry, policy, 2, 100, 1, depth=3, window=window)
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_thread_count_must_be_positive(tiny_problem, tiny_geometry, threads):
+    policy = PowerPolicy.on_off(1.5, tiny_problem.actions, tiny_geometry)
+    with pytest.raises(ValueError, match="threads"):
+        replicate(tiny_problem, tiny_geometry, policy, 2, 100, 1, depth=3, threads=threads)
