@@ -39,17 +39,24 @@ output is bit-identical to computing them afresh.  Cached arrays are
 read-only; ``GridGeometry.nodes()`` and ``cell_widths()`` still return fresh
 ones.
 
-There is one belief step after a miss, and it takes many rows at once: the
-failure-history tree sends every child of a tree level through it, in blocks
-of ``_BLOCK_ROWS`` rows, and ``propagate`` is its one-row case.  Per row it
-conditions on the miss and checks the result; per block it takes the row
-cumulative sums, pulls each row back through the plant map, and convolves
-all rows with the noise kernel in one ``rfftn``/``irfftn`` pair over the row
-axis; per row again it checks the escaped mass and normalizes.  Every row
-sees the same operations in the same order as a lone belief would, dot
-products included, so a row's result does not depend on its block.  A row
-that fails gets its error in place of a belief and the others go on.  The
-block size is fixed: larger blocks cost more memory and no less time per row.
+There is one belief step after a miss, and it takes many rows at once as
+(rows, points) arrays: the failure-history tree sends every child of a tree
+level through it, in blocks of ``_BLOCK_ROWS`` rows, the structure verifier
+sends its probe pairs, and ``propagate`` and ``post_failure`` are its one-row
+cases.  It conditions the block on the miss and renormalizes it with
+elementwise operations and one dot product per row, takes the row cumulative
+sums, pulls each row back through the plant map, convolves all rows with the
+noise kernel in one ``rfftn``/``irfftn`` pair over the row axis, checks each
+row's escaped mass, and normalizes the block into an array its caller owns.
+Every row sees the same operations in the same order as a lone belief would,
+dot products included, so a row's result does not depend on its block.  The
+step makes on each row the checks a ``BeliefGrid`` makes on construction, so
+the beliefs read from its output are views that are not checked again.  A
+row that fails gets its error and the others go on.  The step builds no
+object per row and calls no public function: numpy and ``scipy.fft`` release
+the interpreter lock for most of it, so two threads can step two blocks at
+once, and the bench tracer (``bench/tracing.py``), which keeps one span
+stack for all threads, traces none of it.
 """
 
 from __future__ import annotations
@@ -71,12 +78,13 @@ GAUSSIAN_TAIL_TOL = 1e-8
 SUPPORT_OVERFLOW_TOL = 1e-6
 DEGENERATE_SUCCESS_TOL = 1e-12
 
-# Rows per batched belief step.  Stepping the 256 beliefs of one level of the
-# default depth-8 tree (4001-point grid, 2-vCPU Xeon VM with 2 MB of L2 per
-# core) took a median 0.45 ms a row in blocks of 8 or 16 rows, 0.55 ms in
-# blocks of 32 and 0.75 ms one row at a time; temporaries grow with the block,
-# about 4.5 MB at 16 rows and 71 MB at 256.
-_BLOCK_ROWS = 16
+# Rows per block of the batched belief step.  Filling the canonical depth-8
+# tree (frozen policy, 4001-point grid, 2-vCPU Xeon VM) took a median 0.43,
+# 0.40, 0.38 and 0.39 ms a row in blocks of 4, 8, 16 and 32 rows on one
+# thread, and 0.42, 0.29, 0.26 and 0.28 ms on two threads.  Blocks of 8
+# rows, one per thread, hold the 16 rows in flight that one serial block of
+# 16 held, with about 2.5 MB of temporaries each.
+_BLOCK_ROWS = 8
 
 
 class GridGeometryError(ValueError):
@@ -192,6 +200,16 @@ class BeliefGrid:
                 f"(drift budget {NORMALIZATION_TOL})"
             )
 
+    @classmethod
+    def _view(cls, geometry: GridGeometry, weights: np.ndarray) -> BeliefGrid:
+        """A belief on weights the belief step has already checked: no copy,
+        no checks."""
+        self = object.__new__(cls)
+        grid = _grid_arrays(geometry)
+        self.geometry, self.weights = geometry, weights
+        self.nodes, self._cell_w = grid.nodes, grid.cell_w
+        return self
+
     @property
     def half_width(self) -> float:
         return self.geometry.half_width
@@ -211,15 +229,55 @@ class BeliefGrid:
         return float(self._cell_w @ self.weights)
 
 
+def _clipped_totals(rows: np.ndarray, cell_w: np.ndarray) -> np.ndarray:
+    """Clip every row at zero in place and return its trapezoid integral, one
+    dot product per row, so that each row's bits are a lone belief's."""
+    np.maximum(rows, 0.0, out=rows)
+    return np.array([cell_w @ row for row in rows])
+
+
+def _normalize_rows(
+    rows: np.ndarray, totals: np.ndarray, cell_w: np.ndarray, out: np.ndarray,
+    errors: list[ValueError | None],
+) -> None:
+    """Write each clipped row divided by its total to `out`, and make the
+    checks a BeliefGrid makes on the result.  A row that fails one gets its
+    error in `errors`; rows that already have one are divided by 1."""
+    for r, total in enumerate(totals):
+        if errors[r] is not None:
+            continue
+        if total <= 0:
+            errors[r] = GridGeometryError("cannot normalize an all-zero density")
+        elif abs(total - 1.0) > 1e-12:
+            logger.debug("renormalization absorbed %.3e quadrature drift", abs(total - 1.0))
+    live = np.array([err is None for err in errors])
+    np.divide(rows, np.where(live, totals, 1.0)[:, None], out=out)
+    finite = np.isfinite(out).all(axis=1)
+    for r in np.flatnonzero(live):
+        if not finite[r]:
+            errors[r] = GridGeometryError("weights must be finite")
+            continue
+        total = float(cell_w @ out[r])
+        if abs(total - 1.0) > NORMALIZATION_TOL:
+            errors[r] = GridGeometryError(
+                f"belief not normalized: trapezoid integral {total!r} "
+                f"(drift budget {NORMALIZATION_TOL})"
+            )
+
+
 def _renormalized(geometry: GridGeometry, raw: np.ndarray) -> BeliefGrid:
-    raw = np.maximum(np.asarray(raw, dtype=float), 0.0)
-    total = float(_grid_arrays(geometry).cell_w @ raw)
-    if total <= 0:
-        raise GridGeometryError("cannot normalize an all-zero density")
-    drift = abs(total - 1.0)
-    if drift > 1e-12:
-        logger.debug("renormalization absorbed %.3e quadrature drift", drift)
-    return BeliefGrid(geometry, raw / total)
+    rows = np.array(raw, dtype=float, ndmin=2)
+    cell_w = _grid_arrays(geometry).cell_w
+    errors: list[ValueError | None] = [None]
+    _normalize_rows(rows, _clipped_totals(rows, cell_w), cell_w, rows, errors)
+    return _one_row(geometry, rows, errors)
+
+
+def _one_row(geometry: GridGeometry, rows: np.ndarray, errors: list) -> BeliefGrid:
+    """The belief in a one-row step's result, or the row's error raised."""
+    if errors[0] is not None:
+        raise errors[0]
+    return BeliefGrid._view(geometry, rows[0])
 
 
 def gaussian_grid(mean: float, var: float, geometry: GridGeometry) -> BeliefGrid:
@@ -421,15 +479,12 @@ def post_failure(
     Requires the failure event to be non-degenerate (success probability below
     1 - DEGENERATE_SUCCESS_TOL).  On a banded rule, the surviving mass of a
     cell split by a switch radius is averaged back over the cell, keeping cell
-    masses exact.
+    masses exact.  The one-row case of the belief step's conditioning.
     """
-    phi = success_prob(belief, gain, action, reception)
-    if 1.0 - phi < DEGENERATE_SUCCESS_TOL:
-        raise DegenerateSuccessError(
-            f"success probability {phi} leaves no failure branch to condition on"
-        )
-    fail = _cell_average(action, 1.0 - _level_success(action, reception, gain))
-    return _renormalized(belief.geometry, fail * belief.weights)
+    succ, fail = _rule_vectors(action, reception, gain)
+    errors: list[ValueError | None] = [None]
+    rows = _condition_rows(belief.geometry, belief.weights[None], [succ], [fail], errors)
+    return _one_row(belief.geometry, rows, errors)
 
 
 def _failure_center(belief: BeliefGrid, q_at_nodes: np.ndarray) -> float:
@@ -454,58 +509,72 @@ def propagate(
 
     Success resets the innovation to pure process noise.  Failure conditions
     on the miss, pushes the density through the plant map e -> a*e, and
-    convolves with the noise kernel (the one-row case of the batched step).
+    convolves with the noise kernel (the one-row case of the belief step).
     Mass escaping the grid beyond SUPPORT_OVERFLOW_TOL raises instead of being
     silently renormalized away.
     """
     if received:
         return gaussian_grid(0.0, process.noise_var, belief.geometry)
-    (got,) = _propagate_rows([(belief, gain, action)], process, reception)
-    if isinstance(got, ValueError):
-        raise got
-    return got
+    succ, fail = _rule_vectors(action, reception, gain)
+    out = np.empty((1, belief.n_points))
+    errors = _step_rows(belief.geometry, process, belief.weights[None], [succ], [fail], out)
+    return _one_row(belief.geometry, out, errors)
 
 
-def _propagate_rows(
-    rows: list[tuple[BeliefGrid, float, ActionFunction]],
+def _rule_vectors(
+    action: ActionFunction, reception: ReceptionModel, gain: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cell success and failure probability of a rule at a gain, the two
+    vectors a row of the belief step reads."""
+    q = _level_success(action, reception, gain)
+    return _cell_average(action, q), _cell_average(action, 1.0 - q)
+
+
+def _condition_rows(
+    geometry: GridGeometry,
+    parents: np.ndarray,
+    succ: list[np.ndarray],
+    fail: list[np.ndarray],
+    errors: list[ValueError | None],
+) -> np.ndarray:
+    """Each row of `parents` conditioned on a miss under its row of `succ`
+    and `fail`, as a new (rows, points) array; a degenerate or unnormalizable
+    row gets its error in `errors` and zeros in the result."""
+    cell_w = _grid_arrays(geometry).cell_w
+    for r, (masses, q) in enumerate(zip(cell_w * parents, succ)):
+        phi = min(max(float(masses @ q), 0.0), 1.0)
+        if 1.0 - phi < DEGENERATE_SUCCESS_TOL:
+            errors[r] = DegenerateSuccessError(
+                f"success probability {phi} leaves no failure branch to condition on"
+            )
+    rows = np.multiply(fail, parents)
+    _normalize_rows(rows, _clipped_totals(rows, cell_w), cell_w, rows, errors)
+    rows[[err is not None for err in errors]] = 0.0
+    return rows
+
+
+def _step_rows(
+    geometry: GridGeometry,
     process: ScalarProcess,
-    reception: ReceptionModel,
-) -> list[BeliefGrid | ValueError]:
-    """Beliefs after a missed transmission, one per (belief, gain, rule) row,
-    all on one geometry, taken _BLOCK_ROWS rows at a time.  A row whose step
-    fails gets its error in place of a belief; the other rows go on."""
-    out: list[BeliefGrid | ValueError] = []
-    for lo in range(0, len(rows), _BLOCK_ROWS):
-        out += _propagate_block(rows[lo : lo + _BLOCK_ROWS], process, reception)
-    return out
-
-
-def _propagate_block(
-    rows: list[tuple[BeliefGrid, float, ActionFunction]],
-    process: ScalarProcess,
-    reception: ReceptionModel,
-) -> list[BeliefGrid | ValueError]:
-    geometry = rows[0][0].geometry
+    parents: np.ndarray,
+    succ: list[np.ndarray],
+    fail: list[np.ndarray],
+    out: np.ndarray,
+) -> list[ValueError | None]:
+    """The belief step after a miss for every row of `parents` (one geometry,
+    each row under its own per-cell success and failure vectors), written to
+    the same rows of `out`.  Returns each row's error or None; a row that
+    fails leaves its row of `out` undefined and the others go on."""
     n = geometry.n_points
     grid = _grid_arrays(geometry)
-    out: list = [None] * len(rows)
-    live: list[int] = []
-    conditioned: list[np.ndarray] = []
-    for r, (belief, gain, action) in enumerate(rows):
-        try:
-            conditioned.append(post_failure(belief, gain, action, reception).weights)
-        except (DegenerateSuccessError, GridGeometryError) as err:
-            out[r] = err
-        else:
-            live.append(r)
-    if not live:
-        return out
+    errors: list[ValueError | None] = [None] * len(parents)
+    conditioned = _condition_rows(geometry, parents, succ, fail, errors)
 
     # exact mass projection of the stretched density e -> a*e: the cell-constant
     # CDF is piecewise linear, so pulling target cell edges back through the map
     # keeps masses exact even across the jumps a banded action puts in theta_plus
-    cum = np.zeros((len(live), n + 1))
-    np.cumsum(grid.cell_w * np.array(conditioned), axis=1, out=cum[:, 1:])
+    cum = np.zeros((len(parents), n + 1))
+    np.cumsum(grid.cell_w * conditioned, axis=1, out=cum[:, 1:])
     pulled = grid.edges / abs(process.a)
     cdf = np.array([np.interp(pulled, grid.edges, c, left=0.0, right=float(c[-1])) for c in cum])
     weighted = np.diff(cdf, axis=1)
@@ -519,21 +588,18 @@ def _propagate_block(
                                 [size], axes=[1])
         raw = full[:, n - 1 : 2 * n - 1]
     else:
-        raw = [np.convolve(w, kernel, mode="valid") for w in weighted]
+        raw = np.array([np.convolve(w, kernel, mode="valid") for w in weighted])
 
-    for r, raw_row in zip(live, raw):
-        escaped = 1.0 - float(grid.cell_w @ np.maximum(raw_row, 0.0))
-        if escaped > SUPPORT_OVERFLOW_TOL:
-            out[r] = SupportOverflowError(
+    totals = _clipped_totals(raw, grid.cell_w)
+    for r, total in enumerate(totals):
+        escaped = 1.0 - float(total)
+        if errors[r] is None and escaped > SUPPORT_OVERFLOW_TOL:
+            errors[r] = SupportOverflowError(
                 f"{escaped:.3e} of the propagated belief escaped [-{geometry.half_width}, "
                 f"{geometry.half_width}]; enlarge the grid half_width"
             )
-            continue
-        try:
-            out[r] = _renormalized(geometry, raw_row)
-        except GridGeometryError as err:
-            out[r] = err
-    return out
+    _normalize_rows(raw, totals, grid.cell_w, out, errors)
+    return errors
 
 
 def stage_cost(

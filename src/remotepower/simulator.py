@@ -104,8 +104,8 @@ class _StateMemo:
     """
 
     def __init__(self, problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy,
-                 depth: int, centred: bool):
-        self.tree = _HistoryTree(problem, geometry, policy, depth)
+                 depth: int, centred: bool, serial: bool = False):
+        self.tree = _HistoryTree(problem, geometry, policy, depth, serial=serial)
         self.centred = centred
         self.rows: list[tuple | None] = [None] * (len(self.tree.nodes) * self.tree.n_gains)
         self._warned: set[ValueError] = set()
@@ -159,8 +159,8 @@ def simulate(
     """
     if estimator_mode not in ("closed_form", "belief_mean"):
         raise ValueError("estimator_mode must be 'closed_form' or 'belief_mean'")
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
+    if not (_is_int(horizon) and horizon >= 1):
+        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
     if not (_is_int(window) and window >= 1):
         raise ValueError(f"window must be an integer >= 1, got {window!r}")
     channel = problem.channel
@@ -321,8 +321,8 @@ class ReplicationSummary:
 
 def _replicate_worker(args) -> list[TrajectoryMetrics]:
     (problem, geometry, policy, estimator_mode, horizon, base_seed, reps, depth, window,
-     trace) = args
-    memo = _StateMemo(problem, geometry, policy, depth, estimator_mode == "belief_mean")
+     trace, serial) = args
+    memo = _StateMemo(problem, geometry, policy, depth, estimator_mode == "belief_mean", serial)
     trace_path, trace_comment = trace or (None, None)
     return [
         simulate(
@@ -356,15 +356,16 @@ def replicate(
     failure-history tree.  `_trace` = (path, comment lines) writes
     replication 0's per-step CSV while that replication runs.
     """
-    if replications < 1:
-        raise ValueError("need at least one replication")
+    if not (_is_int(replications) and replications >= 1):
+        raise ValueError(f"replications must be an integer >= 1, got {replications!r}")
     if not (_is_int(threads) and threads >= 1):
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     n_jobs = min(threads, replications)
     cuts = [replications * k // n_jobs for k in range(n_jobs + 1)]
+    # replication processes already share the CPUs: their trees step serially
     jobs = [
         (problem, geometry, policy, estimator_mode, horizon, base_seed, range(lo, hi),
-         depth, window, _trace)
+         depth, window, _trace, n_jobs > 1)
         for lo, hi in zip(cuts, cuts[1:])
     ]
     if n_jobs == 1:

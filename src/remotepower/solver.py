@@ -11,11 +11,15 @@ Beliefs and rules come from one failure-history tree per policy, filled one
 level at a time on demand: the chain build reads every node of it, and the
 Monte Carlo simulator reads the nodes a rollout visits (asking for a node
 fills its whole level).  Only the tree knows its shape; both readers walk its
-integer node ids.  All children of a level go through one batched belief
-step, in blocks of ``belief._BLOCK_ROWS`` rows, and each distinct threshold
-rule is expanded once per tree.  Policy improvement and the structure
-witness read one greedy pass, which takes the ring argmin of ``_BLOCK_ROWS``
-states at one gain at once.
+integer node ids.  The tree keeps its beliefs as the rows of one
+(nodes, points) array.  A level goes through the batched belief step in
+blocks of ``belief._BLOCK_ROWS`` rows; when the process may use two CPUs,
+the calling thread and a second one each take the next block whenever they
+finish one, and write its rows straight into the tree's array.  Each distinct
+threshold rule is expanded once per tree, and rules and their success
+vectors are made on the calling thread before any block is stepped.  Policy
+improvement and the structure witness read one greedy pass, which takes the
+ring minimum of ``_BLOCK_ROWS`` states at one gain at once.
 
 Depth capping makes the tail nodes approximate: their beliefs are frozen and
 they transmit at full power, so a failure at the cap self-loops.  The solver
@@ -24,10 +28,13 @@ reports tail occupancy so callers can confirm the cap does not matter.
 
 from __future__ import annotations
 
+import os
 import warnings
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
+from queue import Empty, SimpleQueue
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,10 +53,10 @@ from .belief import (
     _grid_arrays,
     _level_success,
     _node_distortion,
-    _propagate_rows,
+    _rule_vectors,
+    _step_rows,
     expected_power,
     gaussian_grid,
-    propagate,
     stage_cost,
     success_prob,
 )
@@ -73,6 +80,13 @@ CENTER_SNAP_TOL = 1e-9
 CENTER_ITERATIONS = 5
 STRUCTURE_GAP_TOL = 1e-5
 COST_ORDER_TOL = 1e-6
+
+# Probes per belief step in verify_structure, two rows each.  Canonical
+# verify-structure (400 probes, 4001-point grid) took 2.6-3.0 s at 1, 2, 4
+# or 8 probes a step, but the step's temporaries at 8 probes raised the
+# allocation peak of the probe loop from 3.5 MB (2 probes) to 12.4 MB and
+# the peak RSS of a check run by about 13 MB.
+_PROBES_PER_STEP = 2
 
 
 class ChainStructureError(RuntimeError):
@@ -134,6 +148,14 @@ class UnfoldedChain:
         return np.repeat(self.virtual_mask, self.n_gains)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 class _HistoryTree:
     """Failure-history tree of one policy, filled one level at a time.
 
@@ -143,15 +165,21 @@ class _HistoryTree:
     ``node_index`` and ``child`` expose that numbering.  The rule at (i, g)
     is the policy's rule, or full power at the cap; each distinct threshold
     rule is expanded once and shared.  Asking for a belief fills every level
-    down to the node's, all children of a level in one batched belief step.
-    A child whose step fails stores its error, which is raised again for that
-    node and for every node below it; its siblings go on.
+    down to the node's; beliefs are the rows of one (nodes, points) array
+    the tree owns, handed out as views.  A level goes through the belief step
+    in blocks of ``_BLOCK_ROWS`` rows, on a second thread too when the
+    process may use two CPUs and the level has two blocks or more, unless
+    the tree is ``serial``.  A child whose step fails stores its error,
+    which is raised again for that node and for every node below it; its
+    siblings go on.
     """
 
     def __init__(
-        self, problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy, depth: int
+        self, problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy, depth: int,
+        *, serial: bool = False,
     ):
         self.problem = problem
+        self.geometry = geometry
         self.policy = policy
         self.n_gains = G = len(problem.channel.gains)
         self.n_inner = sum(G**k for k in range(depth))
@@ -168,7 +196,11 @@ class _HistoryTree:
         )
         self._expanded: dict[ThresholdAction, ActionFunction] = {}
         self._actions: dict[tuple[int, int], ActionFunction] = {}
-        self._beliefs: list[BeliefGrid | ValueError] = [self.root]
+        self._weights = np.empty((n_nodes, geometry.n_points))
+        self._weights[0] = self.root.weights
+        self._filled = 1
+        self._errors: dict[int, ValueError] = {}
+        self._serial = serial
 
     def action(self, node: NodeKey, g: int) -> ActionFunction:
         return self.action_at(self.node_index[node], g)
@@ -194,25 +226,72 @@ class _HistoryTree:
         return got
 
     def belief_at(self, i: int) -> BeliefGrid:
-        while len(self._beliefs) <= i:
+        while self._filled <= i:
             self._fill_next_level()
-        got = self._beliefs[i]
-        if isinstance(got, ValueError):
-            raise got
-        return got
+        if i in self._errors:
+            raise self._errors[i]
+        return BeliefGrid._view(self.geometry, self._weights[i])
 
     def _fill_next_level(self) -> None:
         G, gains = self.n_gains, self.problem.channel.gains
-        n = len(self._beliefs)
+        n = self._filled
         # nodes n .. G * n are the children of nodes (n - 1) // G .. n - 1, in order
-        edges = [(parent, g) for parent in range((n - 1) // G, n) for g in range(G)]
-        level = [self._beliefs[parent] for parent, _ in edges]
-        live = [k for k, got in enumerate(level) if not isinstance(got, ValueError)]
-        rows = [(level[k], gains[edges[k][1]], self.action_at(*edges[k])) for k in live]
-        steps = _propagate_rows(rows, self.problem.process, self.problem.reception)
-        for k, step in zip(live, steps):
-            level[k] = step
-        self._beliefs += level
+        live = []
+        for c in range(n, G * n + 1):
+            err = self._errors.get((c - 1) // G)
+            if err is None:
+                live.append(c)
+            else:
+                self._errors[c] = err
+        # rules and their success vectors are made here, so the workers only read
+        vectors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        rows = []
+        for c in live:
+            parent, g = divmod(c - 1, G)
+            action = self.action_at(parent, g)
+            key = (id(action), g)
+            if key not in vectors:
+                vectors[key] = _rule_vectors(action, self.problem.reception, gains[g])
+            rows.append((c, *vectors[key]))
+        blocks = SimpleQueue()
+        for lo in range(0, len(rows), _BLOCK_ROWS):
+            blocks.put(rows[lo : lo + _BLOCK_ROWS])
+        if self._serial or len(rows) <= _BLOCK_ROWS or _cpu_count() < 2:
+            failed = self._step_blocks(blocks)
+        else:
+            # each thread takes the next block when it is done with one, so a
+            # thread that gets less of a CPU steps fewer blocks
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                other = pool.submit(self._step_blocks, blocks)
+                failed = self._step_blocks(blocks)
+                failed += other.result()
+        self._errors.update(failed)
+        self._filled = G * n + 1
+
+    def _step_blocks(self, blocks: SimpleQueue) -> list[tuple[int, ValueError]]:
+        """Step blocks of (child, success, failure) rows off the queue into
+        the children's rows of the tree until it is empty; returns the
+        children that failed."""
+        failed = []
+        while True:
+            try:
+                block = blocks.get_nowait()
+            except Empty:
+                return failed
+            children = [c for c, _, _ in block]
+            lo, hi = children[0], children[-1] + 1
+            # the children are one run of ids unless a parent's step failed
+            contiguous = hi - lo == len(children)
+            out = (self._weights[lo:hi] if contiguous
+                   else np.empty((len(children), self._weights.shape[1])))
+            errors = _step_rows(
+                self.geometry, self.problem.process,
+                self._weights[[(c - 1) // self.n_gains for c in children]],
+                [q for _, q, _ in block], [f for _, _, f in block], out,
+            )
+            if not contiguous:
+                self._weights[children] = out
+            failed += [(c, err) for c, err in zip(children, errors) if err is not None]
 
 
 def build_chain(
@@ -480,9 +559,14 @@ def _greedy_states(
         choices = []
         for g in range(G):
             cost = radii**2 + gaps[:, g, None]
-            choice = np.argmin(
-                weights.alpha * levels[:, None, None] - q_by_gain[g][:, None, None] * cost, axis=0
-            )
+            q = q_by_gain[g]
+            # a running minimum over the levels; strict < keeps the first, as argmin does
+            best = weights.alpha * levels[0] - q[0] * cost
+            choice = np.zeros(cost.shape, dtype=np.intp)
+            for k in range(1, len(levels)):
+                objective = weights.alpha * levels[k] - q[k] * cost
+                choice[objective < best] = k
+                np.minimum(best, objective, out=best)
             choice[:, outside] = len(levels) - 1
             choices.append(np.maximum.accumulate(choice, axis=1))
         for r, i in enumerate(idx):
@@ -874,13 +958,38 @@ def verify_structure(
         )
         return rows
     checked = broken = 0
-    for theta, theta_hat, action, twin, gain in _probes(chain, rng, order_radius, samples):
-        try:
-            theta_next = propagate(theta, gain, action, 0, problem.process, problem.reception)
-            twin_next = propagate(theta_hat, gain, twin, 0, problem.process, problem.reception)
-        except DegenerateSuccessError:
-            continue
-        checked += 1
-        broken += not relation_R(theta_next, twin_next, L, majorization_slack=1e-6, tail_tol=1e-7)
+    for stepped in _stepped_pairs(chain, _probes(chain, rng, order_radius, samples)):
+        if stepped is not None:
+            checked += 1
+            broken += not relation_R(*stepped, L, majorization_slack=1e-6, tail_tol=1e-7)
     rows.append((name, broken == 0, f"{checked} probes"))
     return rows
+
+
+def _stepped_pairs(
+    chain: UnfoldedChain, probes: Iterator[tuple]
+) -> Iterator[tuple[BeliefGrid, BeliefGrid] | None]:
+    """Each probe's pair after a failed transmission, theta under its rule
+    and theta_hat under the twin, stepped _PROBES_PER_STEP probes at a time; None
+    for a probe whose failure branch is degenerate.  Any other error is
+    raised in probe order, theta's before theta_hat's."""
+    problem, geometry = chain.problem, chain.geometry
+    while chunk := list(islice(probes, _PROBES_PER_STEP)):
+        rows = [
+            (belief, *_rule_vectors(rule, problem.reception, gain))
+            for theta, theta_hat, action, twin, gain in chunk
+            for belief, rule in ((theta, action), (theta_hat, twin))
+        ]
+        out = np.empty((len(rows), geometry.n_points))
+        errors = _step_rows(
+            geometry, problem.process, np.array([belief.weights for belief, _, _ in rows]),
+            [q for _, q, _ in rows], [f for _, _, f in rows], out,
+        )
+        for k in range(0, len(rows), 2):
+            first = next((err for err in errors[k : k + 2] if err is not None), None)
+            if isinstance(first, DegenerateSuccessError):
+                yield None
+            elif first is not None:
+                raise first
+            else:
+                yield BeliefGrid._view(geometry, out[k]), BeliefGrid._view(geometry, out[k + 1])

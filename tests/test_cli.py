@@ -502,3 +502,23 @@ def test_commands_never_load_scipy_signal(tiny_cfg_path, tmp_path):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_THREAD_GUARD = """
+import sys, threading
+import remotepower, remotepower.cli
+
+assert threading.active_count() == 1, f"import starts {threading.enumerate()}"
+assert remotepower.cli.run(["validate", sys.argv[1]]) == 0
+assert threading.active_count() == 1, f"validate starts {threading.enumerate()}"
+"""
+
+
+def test_import_and_validate_start_no_thread(tiny_cfg_path):
+    # a fresh interpreter: pytest may run threads of its own
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _THREAD_GUARD, tiny_cfg_path],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

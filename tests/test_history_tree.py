@@ -10,6 +10,7 @@ import dataclasses
 import json
 import logging
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from remotepower import (
     on_off_action,
     simulate,
 )
+from remotepower import solver
 from remotepower.policy import max_power_action
 from remotepower.solver import _HistoryTree
 
@@ -198,3 +200,55 @@ def test_rollout_gains_follow_the_channel_stream(tiny_geometry):
     counts = np.bincount(gain_path(problem.channel, horizon, seed, replication), minlength=3)
     assert min(counts) > 0
     assert m.gain_occupancy == [c / horizon for c in counts.tolist()]
+
+
+STEP_BLOCKS = _HistoryTree._step_blocks
+
+
+def filled_tree(problem, geometry, policy, depth, monkeypatch, cpus):
+    """Every node's belief weights (or the error its step stored) from a tree
+    filled on `cpus` CPUs, and the threads that ran its block loop."""
+    monkeypatch.setattr(solver, "_cpu_count", lambda: cpus)
+    stepped_on = set()
+
+    def recording(tree, blocks):
+        stepped_on.add(threading.get_ident())
+        return STEP_BLOCKS(tree, blocks)
+
+    monkeypatch.setattr(_HistoryTree, "_step_blocks", recording)
+    tree = _HistoryTree(problem, geometry, policy, depth)
+    got = []
+    for i in range(len(tree.nodes)):
+        try:
+            got.append(tree.belief_at(i).weights)
+        except ValueError as err:
+            got.append(err)
+    return got, stepped_on
+
+
+@pytest.mark.parametrize("case", ["canonical-depth-8", "three-gain-depth-3", "overflow"])
+def test_pooled_fill_equals_serial_fill(case, canon_problem, canon_geometry, canon_solution,
+                                        tiny_geometry, monkeypatch):
+    if case == "canonical-depth-8":
+        args = (canon_problem, canon_geometry, canon_solution.policy, 8)
+    elif case == "three-gain-depth-3":
+        problem = three_gain_problem()
+        args = (problem, tiny_geometry, PowerPolicy.on_off(1.5, problem.actions, tiny_geometry), 3)
+    else:
+        args = (*lopsided_two_gain_case(), 6)
+    threads_before = threading.active_count()
+    serial, serial_threads = filled_tree(*args, monkeypatch, cpus=1)
+    pooled, pooled_threads = filled_tree(*args, monkeypatch, cpus=2)
+    assert len(serial_threads) == 1 < len(pooled_threads)
+    assert threading.active_count() == threads_before
+    for want, got in zip(serial, pooled, strict=True):
+        if isinstance(want, ValueError):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert want.tobytes() == got.tobytes()
+    if case == "overflow":
+        tree = _HistoryTree(*args)
+        failing = tree.node_index[(0,) * 5]
+        assert isinstance(pooled[failing], SupportOverflowError)
+        for below in tree.child[failing]:
+            assert pooled[below] is pooled[failing]
