@@ -41,22 +41,22 @@ ones.
 
 There is one belief step after a miss, and it takes many rows at once as
 (rows, points) arrays: the failure-history tree sends every child of a tree
-level through it, in blocks of ``_BLOCK_ROWS`` rows, the structure verifier
-sends its probe pairs, and ``propagate`` and ``post_failure`` are its one-row
-cases.  It conditions the block on the miss and renormalizes it with
-elementwise operations and one dot product per row, takes the row cumulative
-sums, pulls each row back through the plant map, convolves all rows with the
-noise kernel in one ``rfftn``/``irfftn`` pair over the row axis, checks each
-row's escaped mass, and normalizes the block into an array its caller owns.
-Every row sees the same operations in the same order as a lone belief would,
-dot products included, so a row's result does not depend on its block.  The
-step makes on each row the checks a ``BeliefGrid`` makes on construction, so
-the beliefs read from its output are views that are not checked again.  A
-row that fails gets its error and the others go on.  The step builds no
-object per row and calls no public function: numpy and ``scipy.fft`` release
-the interpreter lock for most of it, so two threads can step two blocks at
-once, and the bench tracer (``bench/tracing.py``), which keeps one span
-stack for all threads, traces none of it.
+level through it, in blocks of ``_BLOCK_ROWS`` rows on one thread or of half
+that on two, and ``propagate`` and ``post_failure`` are its one-row cases.
+It conditions the block on the miss and renormalizes it with elementwise
+operations and one dot product per row, takes the row cumulative sums, pulls
+each row back through the plant map, convolves all rows with the noise
+kernel in one ``rfftn``/``irfftn`` pair over the row axis, checks each row's
+escaped mass, and normalizes the block into an array its caller owns.  Every
+row sees the same operations in the same order as a lone belief would, dot
+products included, so a row's result does not depend on its block.  The step
+makes on each row the checks a ``BeliefGrid`` makes on construction, so the
+beliefs read from its output are views that are not checked again.  A row
+that fails gets its error and the others go on.  The step builds no object
+per row and calls no public function: numpy and ``scipy.fft`` release the
+interpreter lock for most of it, so two threads can step two blocks at once,
+and the bench tracer (``bench/tracing.py``), which keeps one span stack for
+all threads, traces none of it.
 """
 
 from __future__ import annotations
@@ -81,10 +81,11 @@ DEGENERATE_SUCCESS_TOL = 1e-12
 # Rows per block of the batched belief step.  Filling the canonical depth-8
 # tree (frozen policy, 4001-point grid, 2-vCPU Xeon VM) took a median 0.43,
 # 0.40, 0.38 and 0.39 ms a row in blocks of 4, 8, 16 and 32 rows on one
-# thread, and 0.42, 0.29, 0.26 and 0.28 ms on two threads.  Blocks of 8
-# rows, one per thread, hold the 16 rows in flight that one serial block of
-# 16 held, with about 2.5 MB of temporaries each.
-_BLOCK_ROWS = 8
+# thread, and 0.42, 0.29, 0.26 and 0.28 ms on two threads.  One thread steps
+# blocks of 16 rows; two threads step half-blocks of 8, which keep the 16
+# rows in flight, and the memory, of one serial block (about 2.5 MB of
+# temporaries per 8 rows), for a little more time per row than blocks of 16.
+_BLOCK_ROWS = 16
 
 
 class GridGeometryError(ValueError):
@@ -541,13 +542,14 @@ def _condition_rows(
     and `fail`, as a new (rows, points) array; a degenerate or unnormalizable
     row gets its error in `errors` and zeros in the result."""
     cell_w = _grid_arrays(geometry).cell_w
-    for r, (masses, q) in enumerate(zip(cell_w * parents, succ)):
-        phi = min(max(float(masses @ q), 0.0), 1.0)
+    for r, (parent, q) in enumerate(zip(parents, succ)):
+        phi = min(max(float((cell_w * parent) @ q), 0.0), 1.0)
         if 1.0 - phi < DEGENERATE_SUCCESS_TOL:
             errors[r] = DegenerateSuccessError(
                 f"success probability {phi} leaves no failure branch to condition on"
             )
-    rows = np.multiply(fail, parents)
+    rows = np.array(fail)
+    np.multiply(rows, parents, out=rows)
     _normalize_rows(rows, _clipped_totals(rows, cell_w), cell_w, rows, errors)
     rows[[err is not None for err in errors]] = 0.0
     return rows
@@ -572,20 +574,24 @@ def _step_rows(
 
     # exact mass projection of the stretched density e -> a*e: the cell-constant
     # CDF is piecewise linear, so pulling target cell edges back through the map
-    # keeps masses exact even across the jumps a banded action puts in theta_plus
+    # keeps masses exact even across the jumps a banded action puts in theta_plus;
+    # each stage reuses the last one's rows, so a block holds few temporaries
     cum = np.zeros((len(parents), n + 1))
-    np.cumsum(grid.cell_w * conditioned, axis=1, out=cum[:, 1:])
+    np.cumsum(np.multiply(grid.cell_w, conditioned, out=conditioned), axis=1, out=cum[:, 1:])
     pulled = grid.edges / abs(process.a)
-    cdf = np.array([np.interp(pulled, grid.edges, c, left=0.0, right=float(c[-1])) for c in cum])
-    weighted = np.diff(cdf, axis=1)
+    for c in cum:
+        c[:] = np.interp(pulled, grid.edges, c, left=0.0, right=float(c[-1]))
+    weighted = np.subtract(cum[:, 1:], cum[:, :-1], out=conditioned)
+    del cum
     if process.a < 0:
         weighted = weighted[:, ::-1]
 
     kernel, size, spectrum = _noise_kernel(geometry, process.noise_var)
     if geometry.convolution == "fft":
         # the "valid" part of the full linear convolution, as fftconvolve takes it
-        full = scipy.fft.irfftn(spectrum * scipy.fft.rfftn(weighted, [size], axes=[1]),
-                                [size], axes=[1])
+        product = scipy.fft.rfftn(weighted, [size], axes=[1])
+        full = scipy.fft.irfftn(np.multiply(spectrum, product, out=product), [size], axes=[1])
+        del product
         raw = full[:, n - 1 : 2 * n - 1]
     else:
         raw = np.array([np.convolve(w, kernel, mode="valid") for w in weighted])

@@ -104,8 +104,8 @@ class _StateMemo:
     """
 
     def __init__(self, problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy,
-                 depth: int, centred: bool, serial: bool = False):
-        self.tree = _HistoryTree(problem, geometry, policy, depth, serial=serial)
+                 depth: int, centred: bool):
+        self.tree = _HistoryTree(problem, geometry, policy, depth)
         self.centred = centred
         self.rows: list[tuple | None] = [None] * (len(self.tree.nodes) * self.tree.n_gains)
         self._warned: set[ValueError] = set()
@@ -321,8 +321,8 @@ class ReplicationSummary:
 
 def _replicate_worker(args) -> list[TrajectoryMetrics]:
     (problem, geometry, policy, estimator_mode, horizon, base_seed, reps, depth, window,
-     trace, serial) = args
-    memo = _StateMemo(problem, geometry, policy, depth, estimator_mode == "belief_mean", serial)
+     trace) = args
+    memo = _StateMemo(problem, geometry, policy, depth, estimator_mode == "belief_mean")
     trace_path, trace_comment = trace or (None, None)
     return [
         simulate(
@@ -362,10 +362,9 @@ def replicate(
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     n_jobs = min(threads, replications)
     cuts = [replications * k // n_jobs for k in range(n_jobs + 1)]
-    # replication processes already share the CPUs: their trees step serially
     jobs = [
         (problem, geometry, policy, estimator_mode, horizon, base_seed, range(lo, hi),
-         depth, window, _trace, n_jobs > 1)
+         depth, window, _trace)
         for lo, hi in zip(cuts, cuts[1:])
     ]
     if n_jobs == 1:

@@ -14,8 +14,9 @@ fills its whole level).  Only the tree knows its shape; both readers walk its
 integer node ids.  The tree keeps its beliefs as the rows of one
 (nodes, points) array.  A level goes through the batched belief step in
 blocks of ``belief._BLOCK_ROWS`` rows; when the process may use two CPUs,
-the calling thread and a second one each take the next block whenever they
-finish one, and write its rows straight into the tree's array.  Each distinct
+the calling thread and a second one each take the next half-block whenever
+they finish one, so as many rows are in flight as in one serial block, and
+write its rows straight into the tree's array.  Each distinct
 threshold rule is expanded once per tree, and rules and their success
 vectors are made on the calling thread before any block is stepped.  Policy
 improvement and the structure witness read one greedy pass, which takes the
@@ -33,7 +34,7 @@ import warnings
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from queue import Empty, SimpleQueue
 
 import numpy as np
@@ -57,6 +58,7 @@ from .belief import (
     _step_rows,
     expected_power,
     gaussian_grid,
+    propagate,
     stage_cost,
     success_prob,
 )
@@ -80,13 +82,6 @@ CENTER_SNAP_TOL = 1e-9
 CENTER_ITERATIONS = 5
 STRUCTURE_GAP_TOL = 1e-5
 COST_ORDER_TOL = 1e-6
-
-# Probes per belief step in verify_structure, two rows each.  Canonical
-# verify-structure (400 probes, 4001-point grid) took 2.6-3.0 s at 1, 2, 4
-# or 8 probes a step, but the step's temporaries at 8 probes raised the
-# allocation peak of the probe loop from 3.5 MB (2 probes) to 12.4 MB and
-# the peak RSS of a check run by about 13 MB.
-_PROBES_PER_STEP = 2
 
 
 class ChainStructureError(RuntimeError):
@@ -167,16 +162,15 @@ class _HistoryTree:
     rule is expanded once and shared.  Asking for a belief fills every level
     down to the node's; beliefs are the rows of one (nodes, points) array
     the tree owns, handed out as views.  A level goes through the belief step
-    in blocks of ``_BLOCK_ROWS`` rows, on a second thread too when the
-    process may use two CPUs and the level has two blocks or more, unless
-    the tree is ``serial``.  A child whose step fails stores its error,
+    in blocks of ``_BLOCK_ROWS`` rows, or in half-blocks on the calling
+    thread and a second one when the process may use two CPUs and the level
+    has two half-blocks or more.  A child whose step fails stores its error,
     which is raised again for that node and for every node below it; its
     siblings go on.
     """
 
     def __init__(
-        self, problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy, depth: int,
-        *, serial: bool = False,
+        self, problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy, depth: int
     ):
         self.problem = problem
         self.geometry = geometry
@@ -200,7 +194,6 @@ class _HistoryTree:
         self._weights[0] = self.root.weights
         self._filled = 1
         self._errors: dict[int, ValueError] = {}
-        self._serial = serial
 
     def action(self, node: NodeKey, g: int) -> ActionFunction:
         return self.action_at(self.node_index[node], g)
@@ -253,18 +246,20 @@ class _HistoryTree:
             if key not in vectors:
                 vectors[key] = _rule_vectors(action, self.problem.reception, gains[g])
             rows.append((c, *vectors[key]))
+        pooled = len(rows) > _BLOCK_ROWS // 2 and _cpu_count() > 1
+        size = _BLOCK_ROWS // 2 if pooled else _BLOCK_ROWS
         blocks = SimpleQueue()
-        for lo in range(0, len(rows), _BLOCK_ROWS):
-            blocks.put(rows[lo : lo + _BLOCK_ROWS])
-        if self._serial or len(rows) <= _BLOCK_ROWS or _cpu_count() < 2:
-            failed = self._step_blocks(blocks)
-        else:
+        for lo in range(0, len(rows), size):
+            blocks.put(rows[lo : lo + size])
+        if pooled:
             # each thread takes the next block when it is done with one, so a
             # thread that gets less of a CPU steps fewer blocks
             with ThreadPoolExecutor(max_workers=1) as pool:
                 other = pool.submit(self._step_blocks, blocks)
                 failed = self._step_blocks(blocks)
                 failed += other.result()
+        else:
+            failed = self._step_blocks(blocks)
         self._errors.update(failed)
         self._filled = G * n + 1
 
@@ -958,38 +953,13 @@ def verify_structure(
         )
         return rows
     checked = broken = 0
-    for stepped in _stepped_pairs(chain, _probes(chain, rng, order_radius, samples)):
-        if stepped is not None:
-            checked += 1
-            broken += not relation_R(*stepped, L, majorization_slack=1e-6, tail_tol=1e-7)
+    for theta, theta_hat, action, twin, gain in _probes(chain, rng, order_radius, samples):
+        try:
+            theta_next = propagate(theta, gain, action, 0, problem.process, problem.reception)
+            twin_next = propagate(theta_hat, gain, twin, 0, problem.process, problem.reception)
+        except DegenerateSuccessError:
+            continue
+        checked += 1
+        broken += not relation_R(theta_next, twin_next, L, majorization_slack=1e-6, tail_tol=1e-7)
     rows.append((name, broken == 0, f"{checked} probes"))
     return rows
-
-
-def _stepped_pairs(
-    chain: UnfoldedChain, probes: Iterator[tuple]
-) -> Iterator[tuple[BeliefGrid, BeliefGrid] | None]:
-    """Each probe's pair after a failed transmission, theta under its rule
-    and theta_hat under the twin, stepped _PROBES_PER_STEP probes at a time; None
-    for a probe whose failure branch is degenerate.  Any other error is
-    raised in probe order, theta's before theta_hat's."""
-    problem, geometry = chain.problem, chain.geometry
-    while chunk := list(islice(probes, _PROBES_PER_STEP)):
-        rows = [
-            (belief, *_rule_vectors(rule, problem.reception, gain))
-            for theta, theta_hat, action, twin, gain in chunk
-            for belief, rule in ((theta, action), (theta_hat, twin))
-        ]
-        out = np.empty((len(rows), geometry.n_points))
-        errors = _step_rows(
-            geometry, problem.process, np.array([belief.weights for belief, _, _ in rows]),
-            [q for _, q, _ in rows], [f for _, _, f in rows], out,
-        )
-        for k in range(0, len(rows), 2):
-            first = next((err for err in errors[k : k + 2] if err is not None), None)
-            if isinstance(first, DegenerateSuccessError):
-                yield None
-            elif first is not None:
-                raise first
-            else:
-                yield BeliefGrid._view(geometry, out[k]), BeliefGrid._view(geometry, out[k + 1])

@@ -3,7 +3,6 @@
 import csv
 import logging
 import math
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -22,8 +21,6 @@ from remotepower import (
     simulate,
     success_prob,
 )
-from remotepower import solver
-from test_history_tree import three_gain_problem
 from test_solver import certain_reception_problem
 
 
@@ -269,25 +266,3 @@ def test_replication_count_must_be_a_positive_integer(tiny_problem, tiny_geometr
     policy = PowerPolicy.on_off(1.5, tiny_problem.actions, tiny_geometry)
     with pytest.raises(ValueError, match="replications"):
         replicate(tiny_problem, tiny_geometry, policy, replications, 100, 1, depth=3)
-
-
-class _NoThreads:
-    def __init__(self, *args, **kwargs):
-        raise RuntimeError("a belief step asked for a thread")
-
-
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched module reaches replication processes only by fork")
-def test_replication_processes_step_their_trees_serially(tiny_geometry, monkeypatch):
-    # levels of 9 and 27 rows fill in two blocks or more
-    problem = three_gain_problem()
-    policy = PowerPolicy.on_off(1.5, problem.actions, tiny_geometry)
-    monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(solver, "ThreadPoolExecutor", _NoThreads)
-    kwargs = dict(estimator_mode="belief_mean", depth=3)
-    with pytest.raises(RuntimeError, match="asked for a thread"):
-        replicate(problem, tiny_geometry, policy, 2, 2000, 5, threads=1, **kwargs)
-    pooled = replicate(problem, tiny_geometry, policy, 2, 2000, 5, threads=2, **kwargs)
-    monkeypatch.setattr(solver, "_cpu_count", lambda: 1)
-    alone = replicate(problem, tiny_geometry, policy, 2, 2000, 5, threads=1, **kwargs)
-    assert pooled.to_dict() == alone.to_dict()

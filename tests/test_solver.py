@@ -1,7 +1,6 @@
 """Unfolded failure chain, exact evaluation, improvement sweeps, and the solvers."""
 
 import dataclasses
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from remotepower import (
     ThresholdAction,
     build_chain,
     canonicalize,
-    constant_action,
     discounted_policy_values,
     evaluate_policy,
     gaussian_grid,
@@ -44,7 +42,7 @@ from remotepower import (
     variance,
     verify_structure,
 )
-from remotepower.solver import _greedy_states, _reachable_states, _stepped_pairs, _success_table
+from remotepower.solver import _greedy_states, _reachable_states, _success_table
 
 
 def certain_reception_problem(alpha=0.5):
@@ -472,39 +470,3 @@ def test_greedy_ring_choice_keeps_the_first_of_tied_levels(tiny_geometry):
         assert np.array_equal(choice, np.maximum.accumulate(want))
         chosen.update(choice.tolist())
     assert 1 in chosen and 2 not in chosen
-
-
-def test_stepped_probe_pairs_skip_degenerate_and_raise_in_probe_order(tiny_geometry):
-    problem = certain_reception_problem()
-    chain = SimpleNamespace(problem=problem, geometry=tiny_geometry)
-    quiet = constant_action(0.0, problem.actions, tiny_geometry, enforce=False)
-    loud = constant_action(4.0, problem.actions, tiny_geometry)
-    centre = gaussian_grid(0.0, 1.0, tiny_geometry)
-    edge, further = (gaussian_grid(m, 0.25, tiny_geometry) for m in (15.0, 16.0))
-
-    def stepped_alone(belief):
-        try:
-            return propagate(belief, 1.0, quiet, 0, problem.process, problem.reception)
-        except SupportOverflowError as err:
-            return err
-
-    stepped = _stepped_pairs(chain, iter([
-        (centre, centre, loud, loud, 1.0),      # degenerate: skipped
-        (centre, edge, loud, quiet, 1.0),       # degenerate theta: skipped, twin unread
-        (centre, further, quiet, quiet, 1.0),   # the twin overflows
-        (centre, edge, quiet, quiet, 1.0),      # stepped in the same block, never read
-    ]))
-    assert next(stepped) is None and next(stepped) is None
-    with pytest.raises(SupportOverflowError) as raised:
-        next(stepped)
-    assert str(raised.value) == str(stepped_alone(further))
-
-    stepped = _stepped_pairs(chain, iter([(centre, centre, quiet, quiet, 1.0),
-                                          (edge, further, quiet, quiet, 1.0)]))
-    theta_next, twin_next = next(stepped)
-    assert theta_next.weights.tobytes() == stepped_alone(centre).weights.tobytes()
-    assert twin_next.weights.tobytes() == theta_next.weights.tobytes()
-    with pytest.raises(SupportOverflowError) as raised:
-        next(stepped)
-    assert str(raised.value) == str(stepped_alone(edge))
-    assert str(stepped_alone(edge)) != str(stepped_alone(further))
