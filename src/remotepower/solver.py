@@ -14,13 +14,14 @@ fills its whole level).  Only the tree knows its shape; both readers walk its
 integer node ids.  The tree keeps its beliefs as the rows of one
 (nodes, points) array.  A level goes through the batched belief step in
 blocks of ``belief._BLOCK_ROWS`` rows; when the process may use two CPUs,
-the calling thread and a second one each take the next half-block whenever
-they finish one, so as many rows are in flight as in one serial block, and
-write its rows straight into the tree's array.  Each distinct
-threshold rule is expanded once per tree, and rules and their success
-vectors are made on the calling thread before any block is stepped.  Policy
-improvement and the structure witness read one greedy pass, which takes the
-ring minimum of ``_BLOCK_ROWS`` states at one gain at once.
+the calling thread and a worker thread, kept for the life of the process,
+each take the next half-block whenever they finish one, so as many rows are
+in flight as in one serial block, and write its rows straight into the
+tree's array.  Each distinct threshold rule is expanded once per tree, and
+rules and their success vectors are made on the calling thread before any
+block is stepped.  Policy improvement and the structure witness read one
+greedy pass, which takes the ring minimum of ``_BLOCK_ROWS`` states at one
+gain at once.
 
 Depth capping makes the tail nodes approximate: their beliefs are frozen and
 they transmit at full power, so a failure at the cap self-loops.  The solver
@@ -30,6 +31,7 @@ reports tail occupancy so callers can confirm the cap does not matter.
 from __future__ import annotations
 
 import os
+import threading
 import warnings
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -151,6 +153,33 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+# The one thread that steps blocks beside the calling thread.  It starts with
+# the first level that needs it and is kept, so every level reuses its malloc
+# arena: with a thread per level, a new thread could start before the last
+# one had handed its arena back, and a 30-solve run held three arenas of
+# about 2.6 MB each instead of one.
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _step_worker() -> ThreadPoolExecutor:
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="belief-step")
+        return _worker
+
+
+def _forget_step_worker() -> None:
+    """In a forked child, which has no copy of the parent's worker thread."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_step_worker)
+
+
 class _HistoryTree:
     """Failure-history tree of one policy, filled one level at a time.
 
@@ -254,10 +283,9 @@ class _HistoryTree:
         if pooled:
             # each thread takes the next block when it is done with one, so a
             # thread that gets less of a CPU steps fewer blocks
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                other = pool.submit(self._step_blocks, blocks)
-                failed = self._step_blocks(blocks)
-                failed += other.result()
+            other = _step_worker().submit(self._step_blocks, blocks)
+            failed = self._step_blocks(blocks)
+            failed += other.result()
         else:
             failed = self._step_blocks(blocks)
         self._errors.update(failed)

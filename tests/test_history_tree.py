@@ -236,16 +236,18 @@ def test_pooled_fill_equals_serial_fill(case, canon_problem, canon_geometry, can
         args = (problem, tiny_geometry, PowerPolicy.on_off(1.5, problem.actions, tiny_geometry), 3)
     else:
         args = (*lopsided_two_gain_case(), 6)
-    threads_before = threading.active_count()
     serial, serial_threads = filled_tree(*args, monkeypatch, cpus=1)
     pooled, pooled_threads = filled_tree(*args, monkeypatch, cpus=2)
+    threads_after = threading.active_count()
+    again, again_threads = filled_tree(*args, monkeypatch, cpus=2)
     assert len(serial_threads) == 1 < len(pooled_threads)
-    assert threading.active_count() == threads_before
-    for want, got in zip(serial, pooled, strict=True):
+    # the worker thread is kept and reused, not started anew for each fill
+    assert again_threads == pooled_threads and threading.active_count() == threads_after
+    for want, got, got_again in zip(serial, pooled, again, strict=True):
         if isinstance(want, ValueError):
             assert type(got) is type(want) and str(got) == str(want)
         else:
-            assert want.tobytes() == got.tobytes()
+            assert want.tobytes() == got.tobytes() == got_again.tobytes()
     if case == "overflow":
         tree = _HistoryTree(*args)
         failing = tree.node_index[(0,) * 5]

@@ -3,6 +3,8 @@
 import csv
 import logging
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from remotepower import (
     simulate,
     success_prob,
 )
+from remotepower import solver
+from test_history_tree import three_gain_problem
 from test_solver import certain_reception_problem
 
 
@@ -266,3 +270,22 @@ def test_replication_count_must_be_a_positive_integer(tiny_problem, tiny_geometr
     policy = PowerPolicy.on_off(1.5, tiny_problem.actions, tiny_geometry)
     with pytest.raises(ValueError, match="replications"):
         replicate(tiny_problem, tiny_geometry, policy, replications, 100, 1, depth=3)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only a forked process inherits the parent's step worker")
+def test_forked_replication_processes_start_their_own_step_worker(tiny_geometry, monkeypatch):
+    # levels of 9 and 27 rows are stepped on two threads; the one-process run
+    # starts the worker thread before the two-process run forks
+    problem = three_gain_problem()
+    policy = PowerPolicy.on_off(1.5, problem.actions, tiny_geometry)
+    monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
+    kwargs = dict(estimator_mode="belief_mean", depth=3)
+    alone = replicate(problem, tiny_geometry, policy, 2, 2000, 5, threads=1, **kwargs)
+    assert solver._worker is not None
+    pid = os.fork()
+    if pid == 0:  # a child that used the parent's executor would wait forever
+        os._exit(0 if solver._worker is None else 1)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+    pooled = replicate(problem, tiny_geometry, policy, 2, 2000, 5, threads=2, **kwargs)
+    assert pooled.to_dict() == alone.to_dict()
