@@ -10,6 +10,7 @@ import dataclasses
 import json
 import logging
 import os
+import sys
 import threading
 
 import numpy as np
@@ -218,11 +219,16 @@ def filled_tree(problem, geometry, policy, depth, monkeypatch, cpus):
     monkeypatch.setattr(_HistoryTree, "_step_blocks", recording)
     tree = _HistoryTree(problem, geometry, policy, depth)
     got = []
-    for i in range(len(tree.nodes)):
-        try:
-            got.append(tree.belief_at(i).weights)
-        except ValueError as err:
-            got.append(err)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+    try:
+        for i in range(len(tree.nodes)):
+            try:
+                got.append(tree.belief_at(i).weights)
+            except ValueError as err:
+                got.append(err)
+    finally:
+        sys.setswitchinterval(interval)
     return got, stepped_on
 
 
