@@ -42,7 +42,9 @@ ones.
 There is one belief step after a miss, and it takes many rows at once as
 (rows, points) arrays: the failure-history tree sends every child of a tree
 level through it, in blocks of ``_BLOCK_ROWS`` rows on one thread or of half
-that on two, and ``propagate`` and ``post_failure`` are its one-row cases.
+that on two, ``verify_structure``'s probes send the rows of each chunk of
+probes through the same dispatch, and ``propagate`` and ``post_failure``
+are its one-row cases.
 It conditions the block on the miss and renormalizes it with elementwise
 operations and one dot product per row, takes the row cumulative sums, pulls
 each row back through the plant map, convolves all rows with the noise
@@ -257,8 +259,18 @@ def _normalize_rows(
     for r in np.flatnonzero(live):
         if not finite[r]:
             errors[r] = GridGeometryError("weights must be finite")
+    _check_normalized(out, cell_w, errors)
+
+
+def _check_normalized(
+    rows: np.ndarray, cell_w: np.ndarray, errors: list[ValueError | None]
+) -> None:
+    """The normalization check a BeliefGrid makes, on every row that has no
+    error yet."""
+    for r, row in enumerate(rows):
+        if errors[r] is not None:
             continue
-        total = float(cell_w @ out[r])
+        total = float(cell_w @ row)
         if abs(total - 1.0) > NORMALIZATION_TOL:
             errors[r] = GridGeometryError(
                 f"belief not normalized: trapezoid integral {total!r} "
@@ -316,11 +328,17 @@ def variance(belief: BeliefGrid) -> float:
 
 def outward_mass(belief: BeliefGrid, radius: float) -> float:
     """Mass of {|e| >= radius}, with the density constant on each cell."""
-    grid = _grid_arrays(belief.geometry)
+    return float(belief.weights @ _outward_lengths(belief.geometry, radius))
+
+
+def _outward_lengths(geometry: GridGeometry, radius: float) -> np.ndarray:
+    """Length of each cell inside {|e| >= radius}: a belief's dot product
+    with it is its outward mass."""
+    grid = _grid_arrays(geometry)
     lo, hi = grid.cell_lo, grid.cell_hi
     pos = np.maximum(0.0, hi - np.maximum(lo, radius))
     neg = np.maximum(0.0, np.minimum(hi, -radius) - lo)
-    return float(belief.weights @ (pos + neg))
+    return pos + neg
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +359,8 @@ class ActionFunction:
     infinity).  Node values are point samples of that step function; at a
     switch radius the higher band already applies.  A banded rule also keeps
     the piece [lo, hi] that band i cuts from cell j on side s (s = 0 for
-    e >= 0), as arrays of shape (2, bands, n_points); lo == hi when empty.
+    e >= 0) and its length, as arrays of shape (2, bands, n_points); lo == hi
+    when empty.
     Success probabilities at the rule's levels are kept per (reception, gain)
     once asked for, so ``values`` and ``bands`` must not change afterwards.
     """
@@ -352,7 +371,7 @@ class ActionFunction:
     bands: tuple[np.ndarray, np.ndarray] | None = None
     enforce: bool = True
     saturated: bool = field(init=False)
-    _pieces: tuple[np.ndarray, np.ndarray] | None = field(
+    _pieces: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
         init=False, default=None, repr=False, compare=False
     )
     _success: dict[tuple[ReceptionModel, float], np.ndarray] = field(
@@ -390,11 +409,13 @@ class ActionFunction:
                 raise GridGeometryError("band radii must be nonnegative and nondecreasing")
             self.bands = (radii, blevels)
             edges = np.concatenate(([0.0], radii, [2.0 * self.geometry.half_width]))[:, None]
-            pos_lo = np.maximum(grid.cell_lo, edges[:-1])
-            pos_hi = np.maximum(np.minimum(grid.cell_hi, edges[1:]), pos_lo)
-            neg_lo = np.maximum(grid.cell_lo, -edges[1:])
-            neg_hi = np.maximum(np.minimum(grid.cell_hi, -edges[:-1]), neg_lo)
-            self._pieces = (np.stack((pos_lo, neg_lo)), np.stack((pos_hi, neg_hi)))
+            lo = np.empty((2, len(blevels), self.geometry.n_points))
+            hi = np.empty_like(lo)
+            np.maximum(grid.cell_lo, edges[:-1], out=lo[0])
+            np.maximum(np.minimum(grid.cell_hi, edges[1:], out=hi[0]), lo[0], out=hi[0])
+            np.maximum(grid.cell_lo, -edges[1:], out=lo[1])
+            np.maximum(np.minimum(grid.cell_hi, -edges[:-1], out=hi[1]), lo[1], out=hi[1])
+            self._pieces = (lo, hi, hi - lo)
 
     def value_at(self, e: float) -> float:
         """Rule evaluated at a real innovation (band rule, else nearest node)."""
@@ -453,8 +474,7 @@ def _cell_average(action: ActionFunction, per_level: np.ndarray) -> np.ndarray:
     value, or on a banded rule the length-weighted mean over the cell's pieces."""
     if action.bands is None:
         return per_level
-    lo, hi = action._pieces
-    lengths = np.einsum("b,sbj->j", per_level, hi - lo)
+    lengths = np.einsum("b,sbj->j", per_level, action._pieces[2])
     return lengths / _grid_arrays(action.geometry).cell_w
 
 
@@ -627,14 +647,26 @@ def stage_cost(
     power = expected_power(belief, action)
     q = _level_success(action, reception, gain)
     if action.bands is not None:
-        lo, hi = action._pieces
-        fail_w = (1.0 - q)[:, None] * belief.weights
-        fail_mass = float(np.sum(fail_w * (hi - lo)))
+        # Each sum runs over every (side, band, cell) piece, as it would over
+        # the products of whole piece arrays, but only nonempty pieces are
+        # multiplied out: an empty one's product is 0.0 in any form.
+        lo, hi, lengths = action._pieces
+        n_bands, n = lengths.shape[1:]
+        nonempty = np.flatnonzero(lengths != 0.0)
+        rows, cell = np.divmod(nonempty, n)
+        fail_w = (1.0 - q)[rows % n_bands] * belief.weights[cell]
+        lo, hi, whole = lo.ravel()[nonempty], hi.ravel()[nonempty], np.zeros(lo.shape)
+
+        def total(products: np.ndarray) -> float:
+            whole.ravel()[nonempty] = products
+            return float(np.sum(whole))
+
+        fail_mass = total(fail_w * lengths.ravel()[nonempty])
         if fail_mass < DEGENERATE_SUCCESS_TOL:
             return alpha * power
-        e_hat = 0.5 * float(np.sum(fail_w * (hi * hi - lo * lo))) / fail_mass
+        e_hat = 0.5 * total(fail_w * (hi * hi - lo * lo)) / fail_mass
         b, a = hi - e_hat, lo - e_hat
-        distortion = float(np.sum(fail_w * (b * b * b - a * a * a))) / 3.0
+        distortion = total(fail_w * (b * b * b - a * a * a)) / 3.0
     else:
         distortion = _node_distortion(belief.cell_masses(), q, belief.nodes)
     return alpha * power + distortion

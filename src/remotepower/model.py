@@ -104,6 +104,11 @@ class ReceptionModel:
                 raise ModelError("on_prob must lie in (0, 1]")
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def reception_prob(reception: ReceptionModel, power, gain: float):
     """Success probability q(power, gain); `power` may be a scalar or ndarray."""
     u = np.asarray(power, dtype=float)

@@ -20,14 +20,21 @@ identities tolerate).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .belief import (
     ActionFunction,
     BeliefGrid,
-    _renormalized,
+    GridGeometry,
+    _check_normalized,
+    _clipped_totals,
+    _grid_arrays,
+    _normalize_rows,
+    _one_row,
+    _outward_lengths,
     banded_action,
-    outward_mass,
 )
 
 MAJORIZATION_SLACK = 1e-9
@@ -47,29 +54,91 @@ def symmetric_decreasing_rearrangement(belief: BeliefGrid) -> BeliefGrid:
     the result is read back at the node radii.  A belief that is already
     even, unimodal, and node-aligned comes back unchanged.
     """
-    order = np.lexsort((np.abs(belief.nodes), -belief.weights))
-    widths = belief.geometry.cell_widths()[order]
-    values = belief.weights[order]
-    reach = np.cumsum(widths) / 2.0
-    idx = np.searchsorted(reach, np.abs(belief.nodes), side="left")
-    idx = np.minimum(idx, len(reach) - 1)
-    return _renormalized(belief.geometry, values[idx])
+    errors: list[ValueError | None] = [None]
+    rows = _rearranged_rows(belief.geometry, belief.weights[None], errors)
+    return _one_row(belief.geometry, rows, errors)
+
+
+def _rearranged_rows(
+    geometry: GridGeometry, weights: np.ndarray, errors: list[ValueError | None],
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """The rearrangement of every row of `weights`, renormalized, written to
+    `out` (a new array by default); a row that cannot be renormalized gets
+    its error in `errors`.
+
+    A row's sorted values are the same bits in any order of its ties, so a
+    plain sort gives them, unless the row holds a -0.0 (which the clip to
+    nonnegative weights may leave): such a row is sorted by (density,
+    radius, index) in full.  Otherwise the order only has to place the two
+    half-width endpoint cells, and at the largest radius each is the last
+    of its ties.  Every other cell is dx wide, so up to the first endpoint
+    cell the reaches are those of dx cells, bit for bit, and so is the
+    read-back index of every radius whose index falls there; only the rest
+    is summed and searched per row.
+    """
+    grid = _grid_arrays(geometry)
+    n = geometry.n_points
+    radius = np.abs(grid.nodes)
+    dx_sums, dx_index = _dx_reach(geometry)
+    dx, half = grid.cell_w[1], grid.cell_w[0]
+    rows = np.empty_like(weights) if out is None else out
+    for row, dest in zip(weights, rows):
+        ascending = np.sort(row)
+        zeros = ascending[np.searchsorted(ascending, 0.0, side="left"):
+                          np.searchsorted(ascending, 0.0, side="right")]
+        if np.signbit(zeros).any():
+            order = np.lexsort((radius, -row))
+            values = row[order]
+            first, last = np.flatnonzero((order == 0) | (order == n - 1))
+        else:
+            values = ascending[::-1]
+            first = n - 1 - int(np.searchsorted(ascending, row[0], side="left"))
+            first -= bool(row[0] == row[-1])
+            last = n - 1 - int(np.searchsorted(ascending, row[-1], side="left"))
+            first, last = min(first, last), max(first, last)
+        widths = np.full(n - first, dx)
+        widths[0] = (dx_sums[first - 1] if first else 0.0) + half
+        widths[last - first] = half
+        reach = np.cumsum(widths) / 2.0
+        index = dx_index.copy()
+        late = index >= first
+        index[late] = first + np.searchsorted(reach, radius[late], side="left")
+        np.minimum(index, n - 1, out=index)
+        np.take(values, index, out=dest)
+    _normalize_rows(rows, _clipped_totals(rows, grid.cell_w), grid.cell_w, rows, errors)
+    return rows
+
+
+@functools.lru_cache(maxsize=16)
+def _dx_reach(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Running sums of n_points cells dx wide, and the read-back index of
+    every node radius against half of them; both read-only."""
+    sums = np.cumsum(np.full(geometry.n_points, geometry.spacing))
+    index = np.searchsorted(sums / 2.0, np.abs(_grid_arrays(geometry).nodes), side="left")
+    sums.flags.writeable = index.flags.writeable = False
+    return sums, index
 
 
 def is_even_unimodal(belief: BeliefGrid, tol: float = UNIMODAL_WIGGLE_TOL) -> bool:
     """True if the density is symmetric about zero and nonincreasing outward,
     up to quadrature wiggle of size tol."""
-    w = belief.weights
-    if float(np.max(np.abs(w - w[::-1]))) > tol:
-        return False
-    right = w[belief.n_points // 2 :]
-    return bool(np.all(np.diff(right) <= tol))
+    return bool(_even_unimodal_rows(belief.weights[None], tol)[0])
 
 
-def _inward_cumulative(belief: BeliefGrid) -> np.ndarray:
+def _even_unimodal_rows(weights: np.ndarray, tol: float) -> np.ndarray:
+    """is_even_unimodal of every row."""
+    m = weights.shape[1] // 2
+    return np.array([
+        float(np.max(np.abs(row - row[::-1]))) <= tol and bool(np.all(np.diff(row[m:]) <= tol))
+        for row in weights
+    ], dtype=bool)
+
+
+def _inward_cumulative(geometry: GridGeometry, weights: np.ndarray) -> np.ndarray:
     """Mass inside [-r, r] at each cell-boundary radius, center outward."""
-    c = belief.cell_masses()
-    m = belief.n_points // 2
+    c = _grid_arrays(geometry).cell_w * weights
+    m = geometry.n_points // 2
     pairs = c[m + 1 :] + c[m - 1 :: -1]
     out = np.empty(m + 1)
     out[0] = c[m]
@@ -85,9 +154,28 @@ def majorizes(f: BeliefGrid, g: BeliefGrid, slack: float = MAJORIZATION_SLACK) -
     """
     if f.geometry != g.geometry:
         raise ValueError("majorization needs both beliefs on the same grid")
-    inward_f = _inward_cumulative(symmetric_decreasing_rearrangement(f))
-    inward_g = _inward_cumulative(symmetric_decreasing_rearrangement(g))
-    return bool(np.all(inward_f >= inward_g - slack))
+    errors: list[ValueError | None] = [None]
+    holds = _majorizes_rows(f.geometry, f.weights[None], g.weights[None], slack, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return bool(holds[0])
+
+
+def _majorizes_rows(
+    geometry: GridGeometry, f: np.ndarray, g: np.ndarray, slack: float,
+    errors: list[ValueError | None],
+) -> np.ndarray:
+    """majorizes of every row pair, one pair at a time; a row whose
+    rearrangement fails gets its error (f's before g's) in `errors`."""
+    holds = np.zeros(len(f), dtype=bool)
+    for r in range(len(f)):
+        f_errors: list[ValueError | None] = [None]
+        g_errors: list[ValueError | None] = [None]
+        inward_f = _inward_cumulative(geometry, _rearranged_rows(geometry, f[r, None], f_errors)[0])
+        inward_g = _inward_cumulative(geometry, _rearranged_rows(geometry, g[r, None], g_errors)[0])
+        errors[r] = f_errors[0] or g_errors[0]
+        holds[r] = np.all(inward_f >= inward_g - slack)
+    return holds
 
 
 def relation_R(
@@ -107,15 +195,44 @@ def relation_R(
     """
     if theta.geometry != theta_star.geometry:
         raise ValueError("relation_R needs both beliefs on the same grid")
-    if not is_even_unimodal(theta_star, tol=unimodal_tol):
-        return False
-    if not majorizes(theta_star, theta, slack=majorization_slack):
-        return False
-    outside = np.abs(theta.nodes) > saturation_radius
-    if not np.any(outside):
-        return True
-    gap = float(np.max(np.abs(theta.weights[outside] - theta_star.weights[outside])))
-    return gap <= tail_tol
+    errors: list[ValueError | None] = [None]
+    holds = _relation_R_rows(
+        theta.geometry, theta.weights[None], theta_star.weights[None], saturation_radius,
+        errors, majorization_slack=majorization_slack, tail_tol=tail_tol,
+        unimodal_tol=unimodal_tol,
+    )
+    if errors[0] is not None:
+        raise errors[0]
+    return bool(holds[0])
+
+
+def _relation_R_rows(
+    geometry: GridGeometry,
+    theta: np.ndarray,
+    theta_star: np.ndarray,
+    saturation_radius: float,
+    errors: list[ValueError | None],
+    *,
+    majorization_slack: float,
+    tail_tol: float,
+    unimodal_tol: float,
+) -> np.ndarray:
+    """relation_R of every row pair.  A clause is decided only for the rows
+    the clauses before it hold on, so a row's rearrangements are made only
+    where relation_R makes them; a row whose rearrangement fails gets its
+    error in `errors`."""
+    holds = _even_unimodal_rows(theta_star, unimodal_tol)
+    outside = np.abs(_grid_arrays(geometry).nodes) > saturation_radius
+    for r in np.flatnonzero(holds):
+        row_errors: list[ValueError | None] = [None]
+        holds[r] = _majorizes_rows(
+            geometry, theta_star[r : r + 1], theta[r : r + 1], majorization_slack, row_errors
+        )[0]
+        errors[r] = row_errors[0]
+        if holds[r] and np.any(outside):
+            gap = float(np.max(np.abs(theta[r, outside] - theta_star[r, outside])))
+            holds[r] = gap <= tail_tol
+    return holds
 
 
 def outward_quantile(belief: BeliefGrid, mass: float) -> float:
@@ -125,26 +242,35 @@ def outward_quantile(belief: BeliefGrid, mass: float) -> float:
     between cell boundaries.  Ties (flat stretches of zero density) resolve
     to the larger radius.
     """
-    if mass <= 0.0:
-        return belief.half_width
-    m = belief.n_points // 2
-    dx = belief.spacing
-    boundaries = np.concatenate(([0.0], (np.arange(m) + 0.5) * dx, [belief.half_width]))
-    c = belief.cell_masses()
-    pairs = c[m + 1 :] + c[m - 1 :: -1]
-    suffix = np.concatenate((np.cumsum(pairs[::-1])[::-1], [0.0]))
-    outward = np.concatenate(([float(c.sum())], suffix))
-    target = min(mass, outward[0])
-    i = int(np.searchsorted(-outward, -target, side="right")) - 1
-    if i >= len(boundaries) - 1:
-        return float(boundaries[-1])
-    if outward[i] <= target:
-        return float(boundaries[i])
-    drop = outward[i] - outward[i + 1]
-    if drop <= 0.0:
-        return float(boundaries[i + 1])
-    frac = (outward[i] - target) / drop
-    return float(boundaries[i] + frac * (boundaries[i + 1] - boundaries[i]))
+    return float(_outward_quantiles(belief.geometry, belief.cell_masses(), [mass])[0])
+
+
+def _outward_quantiles(geometry: GridGeometry, masses: np.ndarray, targets) -> np.ndarray:
+    """outward_quantile of the belief with cell masses `masses` at each mass
+    in `targets`, from one sum of its outward masses."""
+    m = geometry.n_points // 2
+    boundaries = np.concatenate(([0.0], (np.arange(m) + 0.5) * geometry.spacing,
+                                 [geometry.half_width]))
+    pairs = masses[m + 1 :] + masses[m - 1 :: -1]
+    outward = np.concatenate(([float(masses.sum())], np.cumsum(pairs[::-1])[::-1], [0.0]))
+    negated = -outward
+    radii = np.empty(len(targets))
+    for k, mass in enumerate(targets):
+        if mass <= 0.0:
+            radii[k] = geometry.half_width
+            continue
+        target = min(mass, outward[0])
+        i = int(np.searchsorted(negated, -target, side="right")) - 1
+        if i >= len(boundaries) - 1:
+            radii[k] = boundaries[-1]
+        elif outward[i] <= target:
+            radii[k] = boundaries[i]
+        elif outward[i] - outward[i + 1] <= 0.0:
+            radii[k] = boundaries[i + 1]
+        else:
+            frac = (outward[i] - target) / (outward[i] - outward[i + 1])
+            radii[k] = boundaries[i] + frac * (boundaries[i + 1] - boundaries[i])
+    return radii
 
 
 def rearranged_action(
@@ -167,21 +293,41 @@ def rearranged_action(
     """
     if theta.geometry != theta_hat.geometry:
         raise ValueError("rearranged_action needs both beliefs on the same grid")
-    L = action.action_set.saturation_radius
-    tail_gap = abs(outward_mass(theta, L) - outward_mass(theta_hat, L))
-    if tail_gap > 1e-9:
-        raise MeasureMatchError(
-            f"beliefs differ by {tail_gap:.3e} in mass beyond the saturation radius {L}"
-        )
+    errors: list[ValueError | None] = [None]
+    radii = _rearranged_radii(
+        action.action_set, theta.geometry, [action.values], theta.weights[None],
+        theta_hat.weights[None], errors,
+    )
+    if errors[0] is not None:
+        raise errors[0]
     levels = np.asarray(action.action_set.levels, dtype=float)
-    masses = theta.cell_masses()
-    radii = np.empty(len(levels) - 1)
-    for k, level in enumerate(levels[1:]):
-        at_or_above = float(masses[action.values >= level].sum())
-        radii[k] = outward_quantile(theta_hat, at_or_above)
-    radii = np.minimum(radii, L)
-    radii = np.maximum.accumulate(radii)
-    return banded_action(radii, levels, action.action_set, theta_hat.geometry, enforce=enforce)
+    return banded_action(radii[0], levels, action.action_set, theta_hat.geometry, enforce=enforce)
+
+
+def _rearranged_radii(
+    action_set, geometry: GridGeometry, values: list[np.ndarray], theta: np.ndarray,
+    theta_hat: np.ndarray, errors: list[ValueError | None],
+) -> np.ndarray:
+    """The switch radii of rearranged_action for every row: the rule with node
+    values values[r] on belief theta[r], rewritten onto theta_hat[r].  A row
+    whose two beliefs differ in mass beyond the saturation radius gets a
+    MeasureMatchError in `errors` unless it has an error already."""
+    L = action_set.saturation_radius
+    outward = _outward_lengths(geometry, L)
+    cell_w = _grid_arrays(geometry).cell_w
+    levels = np.asarray(action_set.levels, dtype=float)
+    radii = np.empty((len(theta), len(levels) - 1))
+    for r, (rule, row, hat) in enumerate(zip(values, theta, theta_hat)):
+        tail_gap = abs(float(row @ outward) - float(hat @ outward))
+        if errors[r] is None and tail_gap > 1e-9:
+            errors[r] = MeasureMatchError(
+                f"beliefs differ by {tail_gap:.3e} in mass beyond the saturation radius {L}"
+            )
+        masses = cell_w * row
+        at_or_above = [float(masses[rule >= level].sum()) for level in levels[1:]]
+        radii[r] = _outward_quantiles(geometry, cell_w * hat, at_or_above)
+    np.minimum(radii, L, out=radii)
+    return np.maximum.accumulate(radii, axis=1)
 
 
 def interior_permutation(
@@ -196,12 +342,31 @@ def interior_permutation(
     generator of exactly-related pairs for randomized order checks.  The two
     half-width endpoint cells stay put.
     """
-    w = belief.weights.copy()
-    eligible = np.arange(1, belief.n_points - 1)
+    eligible = _eligible_cells(belief.geometry, max_radius)
+    errors: list[ValueError | None] = [None]
+    rows = belief.weights[None].copy()
+    _permute_rows(belief.geometry, rows, eligible, [rng.permutation(eligible)], errors)
+    return _one_row(belief.geometry, rows, errors)
+
+
+def _eligible_cells(geometry: GridGeometry, max_radius: float | None) -> np.ndarray:
+    """The interior cells interior_permutation shuffles."""
+    eligible = np.arange(1, geometry.n_points - 1)
     if max_radius is not None:
-        eligible = eligible[np.abs(belief.nodes[eligible]) < max_radius]
-    w[eligible] = w[rng.permutation(eligible)]
-    return BeliefGrid(belief.geometry, w)
+        eligible = eligible[np.abs(_grid_arrays(geometry).nodes[eligible]) < max_radius]
+    return eligible
+
+
+def _permute_rows(
+    geometry: GridGeometry, rows: np.ndarray, eligible: np.ndarray,
+    permutations: list[np.ndarray], errors: list[ValueError | None],
+) -> None:
+    """Read the `eligible` cells of row r from permutations[r], in place, and
+    make the normalization check a BeliefGrid makes (a permutation keeps
+    every other property of a checked row)."""
+    for row, permutation in zip(rows, permutations):
+        row[eligible] = row[permutation]
+    _check_normalized(rows, _grid_arrays(geometry).cell_w, errors)
 
 
 def random_relation_pair(
@@ -215,16 +380,49 @@ def random_relation_pair(
     mixture carries no mass near the boundary and the untouched tail cells
     agree between the two beliefs.
     """
+    eligible = _pair_cells(geometry, max_radius)
+    errors: list[ValueError | None] = [None]
+    theta, theta_hat = _relation_pair_rows(
+        geometry, [_draw_relation_pair(geometry, rng, eligible)], eligible, errors
+    )
+    return _one_row(geometry, theta, errors), BeliefGrid._view(geometry, theta_hat[0])
+
+
+def _pair_cells(geometry: GridGeometry, max_radius: float) -> np.ndarray:
+    """The cells random_relation_pair shuffles, once max_radius is checked."""
     if not 0.0 < max_radius < geometry.half_width:
         raise ValueError("max_radius must lie inside the grid")
+    return _eligible_cells(geometry, max_radius)
+
+
+def _draw_relation_pair(
+    geometry: GridGeometry, rng: np.random.Generator, eligible: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One relation pair's draws from `rng`, in order: the component count,
+    the widths, the mixture weights and the permutation of `eligible`."""
     k = int(rng.integers(1, 4))
     sigma_cap = max(0.75, min(2.0, geometry.half_width / 8.0))
     sigmas = rng.uniform(0.5, sigma_cap, size=k)
     mix = rng.dirichlet(np.ones(k)) if k > 1 else np.ones(1)
-    nodes = geometry.nodes()
-    dens = np.zeros_like(nodes)
-    for w, s in zip(mix, sigmas):
-        dens += w * np.exp(-0.5 * (nodes / s) ** 2) / s
-    base = _renormalized(geometry, dens)
-    theta = interior_permutation(base, rng, max_radius=max_radius)
-    return theta, symmetric_decreasing_rearrangement(theta)
+    return sigmas, mix, rng.permutation(eligible)
+
+
+def _relation_pair_rows(
+    geometry: GridGeometry,
+    draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    eligible: np.ndarray,
+    errors: list[ValueError | None],
+) -> np.ndarray:
+    """The theta and theta_hat rows of random_relation_pair for each row's
+    draws, as one (2, rows, points) array; a row that fails a check gets its
+    error in `errors`, first one first."""
+    nodes, cell_w = _grid_arrays(geometry).nodes, _grid_arrays(geometry).cell_w
+    pair = np.zeros((2, len(draws), geometry.n_points))
+    dens = pair[0]
+    for row, (sigmas, mix, _) in zip(dens, draws):
+        for w, s in zip(mix, sigmas):
+            row += w * np.exp(-0.5 * (nodes / s) ** 2) / s
+    _normalize_rows(dens, _clipped_totals(dens, cell_w), cell_w, dens, errors)
+    _permute_rows(geometry, dens, eligible, [p for _, _, p in draws], errors)
+    _rearranged_rows(geometry, dens, errors, out=pair[1])
+    return pair

@@ -32,7 +32,7 @@ from .belief import (
     _level_success,
     mean as belief_mean,
 )
-from .model import ControlProblem, ScalarProcess
+from .model import ControlProblem, ScalarProcess, _is_int
 from .policy import PowerPolicy
 from .solver import _HistoryTree
 
@@ -41,11 +41,6 @@ logger = logging.getLogger(__name__)
 STREAM_NOISE = 0
 STREAM_CHANNEL = 1
 STREAM_RECEPTION = 2
-
-
-def _is_int(value) -> bool:
-    """True for an int that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _generator(base_seed: int, replication: int, stream: int) -> np.random.Generator:

@@ -23,6 +23,14 @@ block is stepped.  Policy improvement and the structure witness read one
 greedy pass, which takes the ring minimum of ``_BLOCK_ROWS`` states at one
 gain at once.
 
+``verify_structure``'s randomized probes run in chunks of ``_PROBE_CHUNK``.
+A chunk's random numbers are drawn one probe at a time, in the order a lone
+probe draws them; its relation pairs, rearrangements, rearranged switch
+radii and relation_R checks are computed on (probes, points) rows, and its
+belief steps go through the same block dispatch as a tree level, stepped in
+place.  Every margin and verdict has the bits of the probe run alone, and
+the first probe that fails raises its error.
+
 Depth capping makes the tail nodes approximate: their beliefs are frozen and
 they transmit at full power, so a failure at the cap self-loops.  The solver
 reports tail occupancy so callers can confirm the cap does not matter.
@@ -58,13 +66,20 @@ from .belief import (
     _node_distortion,
     _rule_vectors,
     _step_rows,
+    banded_action,
     expected_power,
     gaussian_grid,
-    propagate,
     stage_cost,
     success_prob,
 )
-from .model import ActionSet, ControlProblem, CostWeights, reception_prob, validate_stability
+from .model import (
+    ActionSet,
+    ControlProblem,
+    CostWeights,
+    _is_int,
+    reception_prob,
+    validate_stability,
+)
 from .policy import (
     NodeKey,
     PowerPolicy,
@@ -76,7 +91,14 @@ from .policy import (
     max_power_action,
     threshold_grid,
 )
-from .rearrange import random_relation_pair, rearranged_action, relation_R
+from .rearrange import (
+    UNIMODAL_WIGGLE_TOL,
+    _draw_relation_pair,
+    _pair_cells,
+    _rearranged_radii,
+    _relation_pair_rows,
+    _relation_R_rows,
+)
 
 STATIONARY_RESIDUAL_TOL = 1e-10
 RHO_CROSSCHECK_TOL = 1e-8
@@ -267,54 +289,98 @@ class _HistoryTree:
                 self._errors[c] = err
         # rules and their success vectors are made here, so the workers only read
         vectors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        rows = []
+        succ, fail = [], []
         for c in live:
             parent, g = divmod(c - 1, G)
             action = self.action_at(parent, g)
             key = (id(action), g)
             if key not in vectors:
                 vectors[key] = _rule_vectors(action, self.problem.reception, gains[g])
-            rows.append((c, *vectors[key]))
-        pooled = len(rows) > _BLOCK_ROWS // 2 and _cpu_count() > 1
-        size = _BLOCK_ROWS // 2 if pooled else _BLOCK_ROWS
-        blocks = SimpleQueue()
-        for lo in range(0, len(rows), size):
-            blocks.put(rows[lo : lo + size])
-        if pooled:
-            # each thread takes the next block when it is done with one, so a
-            # thread that gets less of a CPU steps fewer blocks
-            other = _step_worker().submit(self._step_blocks, blocks)
-            failed = self._step_blocks(blocks)
-            failed += other.result()
-        else:
-            failed = self._step_blocks(blocks)
-        self._errors.update(failed)
+            succ.append(vectors[key][0])
+            fail.append(vectors[key][1])
+        children = np.array(live, dtype=np.intp)
+        steps = _RowSteps(
+            self.geometry, self.problem.process, self._weights, (children - 1) // G,
+            succ, fail, children,
+        )
+        errors = _step_in_blocks(steps, self._step_blocks)
+        self._errors.update((int(c), err) for c, err in zip(children, errors) if err is not None)
         self._filled = G * n + 1
 
-    def _step_blocks(self, blocks: SimpleQueue) -> list[tuple[int, ValueError]]:
-        """Step blocks of (child, success, failure) rows off the queue into
-        the children's rows of the tree until it is empty; returns the
-        children that failed."""
-        failed = []
-        while True:
-            try:
-                block = blocks.get_nowait()
-            except Empty:
-                return failed
-            children = [c for c, _, _ in block]
-            lo, hi = children[0], children[-1] + 1
-            # the children are one run of ids unless a parent's step failed
-            contiguous = hi - lo == len(children)
-            out = (self._weights[lo:hi] if contiguous
-                   else np.empty((len(children), self._weights.shape[1])))
-            errors = _step_rows(
-                self.geometry, self.problem.process,
-                self._weights[[(c - 1) // self.n_gains for c in children]],
-                [q for _, q, _ in block], [f for _, _, f in block], out,
-            )
-            if not contiguous:
-                self._weights[children] = out
-            failed += [(c, err) for c, err in zip(children, errors) if err is not None]
+    def _step_blocks(self, blocks: SimpleQueue) -> None:
+        """Step the level's blocks off the queue until it is empty."""
+        _step_queued(blocks)
+
+
+class _RowSteps:
+    """Belief steps of many rows of one array: row parents[k] of `weights`
+    under succ[k] and fail[k], written to row targets[k], with k's error or
+    None in errors[k].  `targets` is increasing, and no target is the parent
+    of another row (a row may be stepped in place)."""
+
+    def __init__(
+        self,
+        geometry: GridGeometry,
+        process,
+        weights: np.ndarray,
+        parents: np.ndarray,
+        succ: list[np.ndarray],
+        fail: list[np.ndarray],
+        targets: np.ndarray,
+    ):
+        self.geometry, self.process, self.weights = geometry, process, weights
+        self.parents, self.succ, self.fail, self.targets = parents, succ, fail, targets
+        self.errors: list[ValueError | None] = [None] * len(targets)
+
+    def step(self, block: slice) -> None:
+        """Step the rows of one block; a block whose targets are one run of
+        rows is written in place."""
+        rows = self.targets[block]
+        lo, hi = int(rows[0]), int(rows[-1]) + 1
+        contiguous = hi - lo == len(rows)
+        out = self.weights[lo:hi] if contiguous else np.empty((len(rows), self.weights.shape[1]))
+        self.errors[block] = _step_rows(
+            self.geometry, self.process, self.weights[self.parents[block]],
+            self.succ[block], self.fail[block], out,
+        )
+        if not contiguous:
+            self.weights[rows] = out
+
+
+def _step_queued(blocks: SimpleQueue) -> None:
+    """Step (steps, block) pairs off the queue until it is empty."""
+    while True:
+        try:
+            steps, block = blocks.get_nowait()
+        except Empty:
+            return
+        steps.step(block)
+
+
+def _step_in_blocks(
+    steps: _RowSteps, step_blocks=_step_queued, block_rows: int = _BLOCK_ROWS
+) -> list[ValueError | None]:
+    """Run `steps` in blocks of `block_rows` rows, or in half-blocks on the
+    calling thread and the step worker when the process may use two CPUs
+    and there are two half-blocks or more; returns each row's error or None.
+
+    `step_blocks` drains the queue of blocks on each thread.  Each thread
+    takes the next block when it is done with one, so a thread that gets
+    less of a CPU steps fewer blocks.
+    """
+    count = len(steps.targets)
+    pooled = count > block_rows // 2 and _cpu_count() > 1
+    size = block_rows // 2 if pooled else block_rows
+    blocks = SimpleQueue()
+    for lo in range(0, count, size):
+        blocks.put((steps, slice(lo, min(lo + size, count))))
+    if pooled:
+        other = _step_worker().submit(step_blocks, blocks)
+        step_blocks(blocks)
+        other.result()
+    else:
+        step_blocks(blocks)
+    return steps.errors
 
 
 def build_chain(
@@ -906,25 +972,179 @@ def structure_witness(
     return worst
 
 
-def _probes(
-    chain: UnfoldedChain, rng: np.random.Generator, max_radius: float, count: int
-) -> Iterator[tuple[BeliefGrid, BeliefGrid, ActionFunction, ActionFunction, float]]:
-    """`count` randomized structure probes, drawn one at a time from `rng`.
+# Probes per chunk.  Each chunk steps its 8 theta and theta_hat rows in
+# half-blocks of 4 on two threads (or one block of 8 on one CPU).  The probe
+# loops run while the checked chain is alive, and what they allocate on top
+# of it sets verify-structure's peak RSS: on the check-canonical operation
+# (2-vCPU Xeon VM, three runs each) that peak read 96.1-96.4 MB one probe at
+# a time, 96.2-96.5 MB with chunks of 4, 96.7-96.8 MB with chunks of 8, and
+# 99-101 MB with chunks of 16; the time per verify-structure changed by less
+# than the runs spread between chunks of 4 and 8.
+_PROBE_CHUNK = _BLOCK_ROWS // 4
 
-    Each is a relation pair (theta, its rearrangement theta_hat) differing
-    inside `max_radius`, a threshold rule with sorted uniform switch radii, its
-    rearranged twin, and a channel gain; the draws go pair, radii, gain.
+
+@dataclass
+class _ProbeChunk:
+    """Up to ``_PROBE_CHUNK`` structure probes, row r being probe r: a
+    relation pair (theta in pair[0], its rearrangement theta_hat in
+    pair[1]), a threshold rule with sorted uniform switch radii, the switch
+    radii of its rearranged twin, a channel gain, and the error probe r's
+    generation stopped at, if any.  A twin is expanded only when it is used,
+    one at a time, as its pieces take 0.75 MB on the canonical grid, and a
+    rule is let go once used."""
+
+    pair: np.ndarray
+    rules: list[ActionFunction | None]
+    twin_radii: np.ndarray
+    gains: list[float]
+    errors: list[ValueError | None]
+
+    @property
+    def theta(self) -> np.ndarray:
+        return self.pair[0]
+
+    @property
+    def theta_hat(self) -> np.ndarray:
+        return self.pair[1]
+
+    def twin(self, r: int, actions: ActionSet, geometry: GridGeometry) -> ActionFunction:
+        """Probe r's rearranged twin, as ``rearranged_action`` makes it."""
+        levels = np.asarray(actions.levels, dtype=float)
+        return banded_action(self.twin_radii[r], levels, actions, geometry)
+
+
+def _probe_chunk(
+    chain: UnfoldedChain, rng: np.random.Generator, eligible: np.ndarray, size: int
+) -> _ProbeChunk:
+    """`size` randomized structure probes whose pairs differ in the cells
+    `eligible`.
+
+    The probes are drawn one at a time from `rng`, in the order
+    ``random_relation_pair``, ``rearranged_action`` and a lone draw would
+    take them: pair, radii, gain.  No draw depends on a computed belief, so
+    the numeric work of the whole chunk is then done on its rows at once.
     """
     problem, geometry = chain.problem, chain.geometry
-    L = problem.actions.saturation_radius
-    for _ in range(count):
-        theta, theta_hat = random_relation_pair(geometry, rng, max_radius=max_radius)
-        radii = np.sort(rng.uniform(0.05 * L, 0.95 * L, size=problem.actions.n_levels - 1))
-        action = ThresholdAction(tuple(float(r) for r in radii)).as_action(
-            geometry, problem.actions
-        )
-        gain = float(rng.choice(problem.channel.gains))
-        yield theta, theta_hat, action, rearranged_action(action, theta, theta_hat), gain
+    actions = problem.actions
+    L = actions.saturation_radius
+    draws, rules, gains = [], [], []
+    for _ in range(size):
+        draws.append(_draw_relation_pair(geometry, rng, eligible))
+        radii = np.sort(rng.uniform(0.05 * L, 0.95 * L, size=actions.n_levels - 1))
+        rules.append(ThresholdAction(tuple(float(r) for r in radii)).as_action(geometry, actions))
+        gains.append(float(rng.choice(problem.channel.gains)))
+    errors: list[ValueError | None] = [None] * size
+    pair = _relation_pair_rows(geometry, draws, eligible, errors)
+    twin_radii = _rearranged_radii(
+        actions, geometry, [rule.values for rule in rules], pair[0], pair[1], errors
+    )
+    return _ProbeChunk(pair, rules, twin_radii, gains, errors)
+
+
+def _chunk_sizes(count: int) -> Iterator[int]:
+    for lo in range(0, count, _PROBE_CHUNK):
+        yield min(_PROBE_CHUNK, count - lo)
+
+
+def _cost_margins(chain: UnfoldedChain, rng: np.random.Generator, count: int) -> list[float]:
+    """Stage cost of each probe's rule on theta minus its twin's on
+    theta_hat, for `count` probes differing inside the saturation radius;
+    the first probe that fails raises its error."""
+    eligible = _pair_cells(chain.geometry, chain.problem.actions.saturation_radius)
+    margins: list[float] = []
+    for size in _chunk_sizes(count):
+        margins += _chunk_margins(chain, _probe_chunk(chain, rng, eligible, size))
+    return margins
+
+
+def _chunk_margins(chain: UnfoldedChain, chunk: _ProbeChunk) -> list[float]:
+    problem, geometry = chain.problem, chain.geometry
+    margins = []
+    for r, err in enumerate(chunk.errors):
+        if err is not None:
+            raise err
+        theta = BeliefGrid._view(geometry, chunk.theta[r])
+        theta_hat = BeliefGrid._view(geometry, chunk.theta_hat[r])
+        gain = chunk.gains[r]
+        cost = stage_cost(theta, gain, chunk.rules[r], problem.reception, problem.cost)
+        chunk.rules[r] = None
+        margins.append(cost - stage_cost(
+            theta_hat, gain, chunk.twin(r, problem.actions, geometry), problem.reception,
+            problem.cost,
+        ))
+    return margins
+
+
+def _order_verdicts(
+    chain: UnfoldedChain, rng: np.random.Generator, max_radius: float, count: int
+) -> list[bool | None]:
+    """Whether relation_R still holds between each probe's theta and
+    theta_hat after a failed transmission under its rule and its twin, for
+    `count` probes differing inside `max_radius`; None for a probe whose
+    step of theta (looked at first) or of theta_hat is degenerate.  The first
+    probe that fails otherwise raises its error."""
+    eligible = _pair_cells(chain.geometry, max_radius)
+    verdicts: list[bool | None] = []
+    for size in _chunk_sizes(count):
+        verdicts += _chunk_verdicts(chain, _probe_chunk(chain, rng, eligible, size))
+    return verdicts
+
+
+def _chunk_verdicts(chain: UnfoldedChain, chunk: _ProbeChunk) -> list[bool | None]:
+    """The chunk's theta and theta_hat rows go through the belief step
+    together, in place, and relation_R is decided on the rows of its stepped
+    probes at once."""
+    problem, geometry = chain.problem, chain.geometry
+    reception = problem.reception
+    errors = chunk.errors
+    theta_vectors, twin_vectors = {}, {}
+    for r, err in enumerate(errors):
+        if err is None:
+            try:
+                twin_vectors[r] = _rule_vectors(
+                    chunk.twin(r, problem.actions, geometry), reception, chunk.gains[r]
+                )
+            except ValueError as exc:
+                errors[r] = exc
+                continue
+            theta_vectors[r] = _rule_vectors(chunk.rules[r], reception, chunk.gains[r])
+    # what is no longer needed is let go as soon as it is not, since what the
+    # probes allocate sets verify-structure's peak RSS (see _PROBE_CHUNK)
+    chunk.rules = []
+    made = list(theta_vectors)
+    vectors = [theta_vectors[r] for r in made] + [twin_vectors[r] for r in made]
+    del theta_vectors, twin_vectors
+    rows = np.array(made + [len(errors) + r for r in made], dtype=np.intp)
+    stepped = chunk.pair.reshape(-1, geometry.n_points)
+    step_errors = _step_in_blocks(_RowSteps(
+        geometry, problem.process, stepped, rows,
+        [q for q, _ in vectors], [f for _, f in vectors], rows,
+    ), block_rows=2 * _PROBE_CHUNK)
+    del vectors
+    steps = {r: (step_errors[k], step_errors[len(made) + k]) for k, r in enumerate(made)}
+    checked = [r for r in made if steps[r] == (None, None)]
+    relation_errors: list[ValueError | None] = [None] * len(checked)
+    holds = _relation_R_rows(
+        geometry, chunk.theta[checked], chunk.theta_hat[checked],
+        problem.actions.saturation_radius, relation_errors,
+        majorization_slack=1e-6, tail_tol=1e-7, unimodal_tol=UNIMODAL_WIGGLE_TOL,
+    )
+    verdict = {r: (bool(h), err) for r, h, err in zip(checked, holds, relation_errors)}
+    verdicts: list[bool | None] = []
+    for r, err in enumerate(errors):
+        if err is not None:
+            raise err
+        step = next((e for e in steps[r] if e is not None), None)
+        if isinstance(step, DegenerateSuccessError):
+            verdicts.append(None)
+            continue
+        if step is not None:
+            raise step
+        ok, err = verdict[r]
+        if err is not None:
+            raise err
+        verdicts.append(ok)
+    return verdicts
 
 
 def verify_structure(
@@ -935,10 +1155,14 @@ def verify_structure(
     Rule shape on every non-tail, non-virtual state; the structure witness at
     the evaluation's relative values; and `samples` randomized probes, drawn
     from one generator seeded with `seed`, of the rearrangement's cost order
-    and of the belief order across a failed transmission.
+    and of the belief order across a failed transmission.  Raises ValueError
+    unless `samples` is an integer >= 1 and `seed` is None or an integer
+    >= 0 (a bool is neither).
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    if not (_is_int(samples) and samples >= 1):
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    if not (seed is None or (_is_int(seed) and seed >= 0)):
+        raise ValueError(f"seed must be None or an integer >= 0, got {seed!r}")
     problem = chain.problem
     inner = np.flatnonzero(~np.repeat(chain.tail_mask | chain.virtual_mask, chain.n_gains))
     reports = [check_symmetric_monotone(chain.actions[s]) for s in inner]
@@ -958,11 +1182,7 @@ def verify_structure(
 
     rng = np.random.default_rng(seed)
     L = problem.actions.saturation_radius
-    worst = min(
-        stage_cost(theta, gain, action, problem.reception, problem.cost)
-        - stage_cost(theta_hat, gain, twin, problem.reception, problem.cost)
-        for theta, theta_hat, action, twin, gain in _probes(chain, rng, L, samples)
-    )
+    worst = min(_cost_margins(chain, rng, samples))
     rows.append((
         "rearranged rule never costs more",
         worst >= -COST_ORDER_TOL,
@@ -980,14 +1200,7 @@ def verify_structure(
             (name, True, "skipped: saturation radius too tight for a leak-free probe region")
         )
         return rows
-    checked = broken = 0
-    for theta, theta_hat, action, twin, gain in _probes(chain, rng, order_radius, samples):
-        try:
-            theta_next = propagate(theta, gain, action, 0, problem.process, problem.reception)
-            twin_next = propagate(theta_hat, gain, twin, 0, problem.process, problem.reception)
-        except DegenerateSuccessError:
-            continue
-        checked += 1
-        broken += not relation_R(theta_next, twin_next, L, majorization_slack=1e-6, tail_tol=1e-7)
-    rows.append((name, broken == 0, f"{checked} probes"))
+    verdicts = _order_verdicts(chain, rng, order_radius, samples)
+    checked = sum(v is not None for v in verdicts)
+    rows.append((name, False not in verdicts, f"{checked} probes"))
     return rows

@@ -21,6 +21,7 @@ from scipy.signal import fftconvolve
 from remotepower import (
     ActionFunction,
     BeliefGrid,
+    DegenerateSuccessError,
     PowerPolicy,
     SupportOverflowError,
     ThresholdAction,
@@ -28,7 +29,12 @@ from remotepower import (
     evaluate_policy,
     gaussian_grid,
     post_failure,
+    propagate,
+    random_relation_pair,
+    rearranged_action,
     reception_prob,
+    relation_R,
+    stage_cost,
     state_action_value,
 )
 from remotepower.policy import max_power_action
@@ -280,6 +286,68 @@ def structure_witness_per_state(chain, weights, values) -> float:
                 - state_action_value(chain, s, tabular, weights, values),
             )
     return worst
+
+
+def rearrangement_lexsort(geometry, weights: np.ndarray) -> np.ndarray:
+    """Node weights of the symmetric decreasing rearrangement, as the package
+    computed it before it worked on rows: cells sorted by one lexsort on
+    (density, radius), every node radius read back by a binary search of
+    the cells' reaches, and the result clipped and renormalized."""
+    nodes = geometry.nodes()
+    order = np.lexsort((np.abs(nodes), -weights))
+    reach = np.cumsum(geometry.cell_widths()[order]) / 2.0
+    index = np.minimum(np.searchsorted(reach, np.abs(nodes), side="left"), len(reach) - 1)
+    raw = np.maximum(weights[order][index], 0.0)
+    return raw / float(geometry.cell_widths() @ raw)
+
+
+def _probes_one_at_a_time(chain, rng, max_radius: float, count: int):
+    problem, geometry = chain.problem, chain.geometry
+    L = problem.actions.saturation_radius
+    for _ in range(count):
+        theta, theta_hat = random_relation_pair(geometry, rng, max_radius=max_radius)
+        radii = np.sort(rng.uniform(0.05 * L, 0.95 * L, size=problem.actions.n_levels - 1))
+        rule = ThresholdAction(tuple(float(r) for r in radii))
+        action = rule.as_action(geometry, problem.actions)
+        gain = float(rng.choice(problem.channel.gains))
+        yield theta, theta_hat, action, rearranged_action(action, theta, theta_hat), gain
+
+
+def verify_structure_per_probe(chain, samples: int, seed: int) -> dict:
+    """The two randomized probe loops of verify_structure written with the
+    public functions, one probe at a time: every cost margin, every order
+    verdict (None for a probe skipped on a degenerate step), and the counts
+    of skipped and checked order probes.  The order loop runs only where
+    verify_structure runs it."""
+    problem = chain.problem
+    L = problem.actions.saturation_radius
+    rng = np.random.default_rng(seed)
+    margins = [
+        stage_cost(theta, gain, action, problem.reception, problem.cost)
+        - stage_cost(theta_hat, gain, twin, problem.reception, problem.cost)
+        for theta, theta_hat, action, twin, gain in _probes_one_at_a_time(chain, rng, L, samples)
+    ]
+    verdicts = []
+    order_radius = (L - 6.0 * problem.process.noise_var**0.5) / abs(problem.process.a)
+    if order_radius >= 10.0 * chain.geometry.spacing:
+        for theta, theta_hat, action, twin, gain in _probes_one_at_a_time(
+            chain, rng, order_radius, samples
+        ):
+            try:
+                theta_next = propagate(theta, gain, action, 0, problem.process, problem.reception)
+                twin_next = propagate(theta_hat, gain, twin, 0, problem.process, problem.reception)
+            except DegenerateSuccessError:
+                verdicts.append(None)
+                continue
+            verdicts.append(
+                relation_R(theta_next, twin_next, L, majorization_slack=1e-6, tail_tol=1e-7)
+            )
+    return {
+        "margins": margins,
+        "verdicts": verdicts,
+        "skipped": sum(v is None for v in verdicts),
+        "checked": sum(v is not None for v in verdicts),
+    }
 
 
 def three_state_average_cost(phis, costs) -> float:
