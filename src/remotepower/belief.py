@@ -33,11 +33,13 @@ computed once and then read:
   kept on the rule.
 
 Each is the array the per-call code used to build, made by the same
-expressions, and the FFT path multiplies the same two spectra through the same
-``rfftn``/``irfftn`` calls that ``scipy.signal.fftconvolve`` makes, so every
-output is bit-identical to computing them afresh.  Cached arrays are
-read-only; ``GridGeometry.nodes()`` and ``cell_widths()`` still return fresh
-ones.
+expressions, so every output is bit-identical to computing them afresh.  The
+FFT path multiplies the two spectra of the full linear convolution that
+``scipy.signal.fftconvolve`` takes, at the same 5-smooth length, through
+NumPy's ``rfft``/``irfft`` (pocketfft, the bits of ``scipy.fft``'s
+``rfftn``/``irfftn``), written with ``out=`` into buffers each stepping
+thread keeps per grid.  Cached arrays are read-only;
+``GridGeometry.nodes()`` and ``cell_widths()`` still return fresh ones.
 
 There is one belief step after a miss, and it takes many rows at once as
 (rows, points) arrays: the failure-history tree sends every child of a tree
@@ -48,17 +50,17 @@ are its one-row cases.
 It conditions the block on the miss and renormalizes it with elementwise
 operations and one dot product per row, takes the row cumulative sums, pulls
 each row back through the plant map, convolves all rows with the noise
-kernel in one ``rfftn``/``irfftn`` pair over the row axis, checks each row's
+kernel in one ``rfft``/``irfft`` pair over the row axis, checks each row's
 escaped mass, and normalizes the block into an array its caller owns.  Every
 row sees the same operations in the same order as a lone belief would, dot
 products included, so a row's result does not depend on its block.  The step
 makes on each row the checks a ``BeliefGrid`` makes on construction, so the
 beliefs read from its output are views that are not checked again.  A row
 that fails gets its error and the others go on.  The step builds no object
-per row and calls no public function: numpy and ``scipy.fft`` release the
-interpreter lock for most of it, so two threads can step two blocks at once,
-and the bench tracer (``bench/tracing.py``), which keeps one span stack for
-all threads, traces none of it.
+per row and calls no public function: numpy, its pocketfft included,
+releases the interpreter lock for most of it, so two threads can step two
+blocks at once, and the bench tracer (``bench/tracing.py``), which keeps one
+span stack for all threads, traces none of it.
 """
 
 from __future__ import annotations
@@ -66,10 +68,10 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .model import ActionSet, CostWeights, ReceptionModel, ScalarProcess, reception_prob
 
@@ -165,10 +167,44 @@ def _noise_kernel(geometry: GridGeometry, noise_var: float) -> tuple[np.ndarray,
     n = geometry.n_points
     offsets = geometry.spacing * np.arange(-(n - 1), n)
     kernel = np.exp(-0.5 * offsets**2 / noise_var) / math.sqrt(2.0 * math.pi * noise_var)
-    size = scipy.fft.next_fast_len(3 * n - 2, True)
-    spectrum = scipy.fft.rfftn(kernel, [size], axes=[0])
+    size = _next_fast_len(3 * n - 2)
+    spectrum = np.fft.rfft(kernel, size)
     kernel.flags.writeable = spectrum.flags.writeable = False
     return kernel, size, spectrum
+
+
+def _next_fast_len(target: int) -> int:
+    """The smallest 2**i * 3**j * 5**k >= target, as
+    ``scipy.fft.next_fast_len(target, True)`` picks a real FFT length."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two times p35 that reaches target
+            best = min(best, p35 << max(0, (-(-target // p35) - 1).bit_length()))
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+_fft_local = threading.local()
+
+
+def _fft_buffers(n: int, size: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """This thread's zero-padded input, spectrum and full output of the FFT
+    convolution, `rows` rows each.  They are kept per thread for one
+    (n_points, FFT length) and grown by rows: the step writes only the first
+    n columns of the input, so the padding stays zero while n is the same."""
+    held = getattr(_fft_local, "buffers", None)
+    if held is None or held[0] != (n, size) or len(held[1]) < rows:
+        held = _fft_local.buffers = (
+            (n, size),
+            np.zeros((rows, size)),
+            np.empty((rows, size // 2 + 1), dtype=complex),
+            np.empty((rows, size)),
+        )
+    return held[1][:rows], held[2][:rows], held[3][:rows]
 
 
 class BeliefGrid:
@@ -601,17 +637,20 @@ def _step_rows(
     pulled = grid.edges / abs(process.a)
     for c in cum:
         c[:] = np.interp(pulled, grid.edges, c, left=0.0, right=float(c[-1]))
-    weighted = np.subtract(cum[:, 1:], cum[:, :-1], out=conditioned)
-    del cum
-    if process.a < 0:
-        weighted = weighted[:, ::-1]
-
     kernel, size, spectrum = _noise_kernel(geometry, process.noise_var)
     if geometry.convolution == "fft":
+        padded, product, full = _fft_buffers(n, size, len(parents))
+        weighted = padded[:, :n]
+    else:
+        weighted = conditioned
+    # a mirrored plant map writes each row's cell masses from the far end
+    np.subtract(cum[:, 1:], cum[:, :-1], out=weighted if process.a > 0 else weighted[:, ::-1])
+    del cum
+
+    if geometry.convolution == "fft":
         # the "valid" part of the full linear convolution, as fftconvolve takes it
-        product = scipy.fft.rfftn(weighted, [size], axes=[1])
-        full = scipy.fft.irfftn(np.multiply(spectrum, product, out=product), [size], axes=[1])
-        del product
+        np.fft.rfft(padded, out=product)
+        np.fft.irfft(np.multiply(spectrum, product, out=product), size, out=full)
         raw = full[:, n - 1 : 2 * n - 1]
     else:
         raw = np.array([np.convolve(w, kernel, mode="valid") for w in weighted])

@@ -329,7 +329,10 @@ def _parse_alpha_range(text: str) -> list[float]:
     start, step, stop = values
     if step <= 0 or stop < start:
         raise ConfigError(f"bad --alpha range {text!r}: need step > 0 and stop >= start")
-    count = int((stop - start) / step + 1e-9) + 1
+    span = (stop - start) / step
+    if not math.isfinite(span):
+        raise ConfigError(f"bad --alpha range {text!r}: too many points")
+    count = int(span + 1e-9) + 1
     return [start + i * step for i in range(count)]
 
 

@@ -18,11 +18,9 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .belief import (
     DegenerateSuccessError,
@@ -365,6 +363,9 @@ def replicate(
     if n_jobs == 1:
         results = _replicate_worker(jobs[0])
     else:
+        # loaded here, not with the package: one process needs no pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             results = [m for block in pool.map(_replicate_worker, jobs) for m in block]
 
@@ -420,6 +421,9 @@ def error_growth_windows(
 
             e = lfilter([1.0], [1.0, -a], w)
             log_e2 = 2.0 * np.log(np.abs(e))
+    # scipy.special is loaded here, not with the package, as lfilter is
+    from scipy.special import logsumexp
+
     out = []
     for start in range(0, horizon - window + 1, window):
         block = log_e2[start : start + window]

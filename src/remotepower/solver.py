@@ -49,7 +49,6 @@ from queue import Empty, SimpleQueue
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import spsolve
 
 from .belief import (
@@ -476,8 +475,17 @@ def _node_rule_terms(
 
 
 def _reachable_states(P: sp.csr_matrix, seeds: list[int]) -> np.ndarray:
-    return np.unique(np.concatenate([breadth_first_order(P, s, return_predecessors=False)
-                                     for s in seeds]))
+    """States reachable from `seeds` along the stored entries of P (a stored
+    zero is an edge too), grown one step at a time by a sparse
+    matrix-vector product on P's pattern."""
+    pattern_T = sp.csr_matrix((np.ones(P.nnz), P.indices, P.indptr), shape=P.shape).T
+    seen = np.zeros(P.shape[0], dtype=bool)
+    seen[seeds] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = (pattern_T @ frontier > 0) & ~seen
+        seen |= frontier
+    return np.flatnonzero(seen)
 
 
 def _stationary_on(P: sp.csr_matrix, reach: np.ndarray) -> np.ndarray:

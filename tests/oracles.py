@@ -15,6 +15,7 @@ import math
 from itertools import combinations_with_replacement, product
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 from scipy.signal import fftconvolve
 
@@ -36,6 +37,13 @@ from remotepower import (
     relation_R,
     stage_cost,
     state_action_value,
+)
+from remotepower.belief import (
+    SUPPORT_OVERFLOW_TOL,
+    _clipped_totals,
+    _condition_rows,
+    _grid_arrays,
+    _normalize_rows,
 )
 from remotepower.policy import max_power_action
 from remotepower.simulator import STREAM_CHANNEL
@@ -141,6 +149,46 @@ def propagate_fftconvolve(belief, gain: float, action, process, reception) -> np
     if 1.0 - float(cell_w @ raw) > 1e-6:
         raise SupportOverflowError("propagated belief escaped the grid")
     return raw / float(cell_w @ raw)
+
+
+def step_rows_scipy_fft(geometry, process, parents, succ, fail, out) -> list:
+    """The batched belief step as it was written on scipy.fft: its own noise
+    kernel, FFT length (``scipy.fft.next_fast_len``) and spectrum, and one
+    fresh ``scipy.fft.rfftn``/``irfftn`` pair over the row axis; the
+    conditioning and normalization are the package's.  Same arguments and
+    result as ``belief._step_rows``."""
+    n = geometry.n_points
+    grid = _grid_arrays(geometry)
+    errors = [None] * len(parents)
+    conditioned = _condition_rows(geometry, parents, succ, fail, errors)
+    cum = np.zeros((len(parents), n + 1))
+    np.cumsum(np.multiply(grid.cell_w, conditioned, out=conditioned), axis=1, out=cum[:, 1:])
+    pulled = grid.edges / abs(process.a)
+    for c in cum:
+        c[:] = np.interp(pulled, grid.edges, c, left=0.0, right=float(c[-1]))
+    weighted = np.subtract(cum[:, 1:], cum[:, :-1], out=conditioned)
+    if process.a < 0:
+        weighted = weighted[:, ::-1]
+
+    W = process.noise_var
+    kernel = np.exp(-0.5 * (geometry.spacing * np.arange(-(n - 1), n)) ** 2 / W)
+    kernel /= math.sqrt(2.0 * math.pi * W)
+    size = scipy.fft.next_fast_len(3 * n - 2, True)
+    spectrum = scipy.fft.rfftn(kernel, [size], axes=[0])
+    product = scipy.fft.rfftn(weighted, [size], axes=[1])
+    full = scipy.fft.irfftn(np.multiply(spectrum, product, out=product), [size], axes=[1])
+    raw = full[:, n - 1 : 2 * n - 1]
+
+    totals = _clipped_totals(raw, grid.cell_w)
+    for r, total in enumerate(totals):
+        escaped = 1.0 - float(total)
+        if errors[r] is None and escaped > SUPPORT_OVERFLOW_TOL:
+            errors[r] = SupportOverflowError(
+                f"{escaped:.3e} of the propagated belief escaped [-{geometry.half_width}, "
+                f"{geometry.half_width}]; enlarge the grid half_width"
+            )
+    _normalize_rows(raw, totals, grid.cell_w, out, errors)
+    return errors
 
 
 def gain_path(channel, horizon: int, seed: int, replication: int = 0) -> list[int]:

@@ -522,3 +522,57 @@ def test_import_and_validate_start_no_thread(tiny_cfg_path):
     proc = subprocess.run([sys.executable, "-c", _THREAD_GUARD, tiny_cfg_path],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sweep_rejects_a_range_with_too_many_points(tiny_cfg_path, tmp_path, capsys):
+    # (stop - start) / step overflows to inf: the point count is not finite
+    out = tmp_path / "sweep.csv"
+    code = run(["sweep", tiny_cfg_path, "--alpha", "0:1e-320:1", "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "bad --alpha range" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+_FOOTPRINT_GUARD = """
+import math, sys
+import remotepower
+from remotepower import ScalarProcess, error_growth_windows
+from remotepower.cli import run
+
+OPTIONAL = ("scipy.fft", "scipy.special", "scipy.sparse.csgraph", "concurrent.futures.process")
+
+def loaded():
+    return [m for m in OPTIONAL if m in sys.modules]
+
+assert not loaded(), f"import remotepower loads {loaded()}"
+config, solution = sys.argv[1:]
+for argv in (
+    ["validate", config],
+    ["solve", config, "-o", solution],
+    ["evaluate", config, "--policy", solution, "-o", solution + ".eval"],
+    ["simulate", config, "--policy", solution, "--threads", "1", "-o", solution + ".sim"],
+    ["verify-structure", config, "--samples", "5"],
+    ["rearrange-demo", config, "-o", solution + ".csv"],
+):
+    assert run(argv) == 0, argv
+    assert not loaded(), f"{argv[0]} loads {loaded()}"
+
+windows = error_growth_windows(ScalarProcess(a=1.2, noise_var=1.0), 50_000, 10_000, 1)
+assert "scipy.special" in sys.modules
+assert windows == [3639.8441835122744, 7286.275319391366, 10932.70645527046,
+                   14579.13759114955, 18225.56872702864], windows
+"""
+
+
+def test_commands_at_one_thread_load_no_optional_module(tiny_cfg_path, tmp_path):
+    # a fresh interpreter: this one has imported everything the suite uses
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_GUARD, tiny_cfg_path, str(tmp_path / "solution.json")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
