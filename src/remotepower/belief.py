@@ -9,9 +9,9 @@ Transmission rules enter in one of two shapes:
 
 * node-valued (``bands is None``): the rule is constant on each cell, or
 * banded (``bands`` set): the rule is a radially symmetric step function with
-  exact real-valued switch radii.  The rule cuts every cell once, when it is
-  built, into the piece each band takes from it on each side of zero, which
-  keeps layer-cake identities exact instead of quantized to the grid.
+  exact real-valued switch radii.  When built, the rule splits each cell at
+  zero and at the switch radii strictly inside it, and holds the pieces in cell
+  order; that keeps layer-cake identities exact instead of quantized to the grid.
 
 Every operator reads a rule through one per-cell average of a per-level
 quantity (power, success or failure probability): the node's level on a node
@@ -394,9 +394,8 @@ class ActionFunction:
     band_levels[i] for radii[i-1] <= |e| < radii[i] (the last level extends to
     infinity).  Node values are point samples of that step function; at a
     switch radius the higher band already applies.  A banded rule also keeps
-    the piece [lo, hi] that band i cuts from cell j on side s (s = 0 for
-    e >= 0) and its length, as arrays of shape (2, bands, n_points); lo == hi
-    when empty.
+    its pieces (``_cell_pieces``) as five flat arrays: cell, band, lo, hi and
+    length, at most n_points + 2 * bands - 1 of each.
     Success probabilities at the rule's levels are kept per (reception, gain)
     once asked for, so ``values`` and ``bands`` must not change afterwards.
     """
@@ -407,7 +406,7 @@ class ActionFunction:
     bands: tuple[np.ndarray, np.ndarray] | None = None
     enforce: bool = True
     saturated: bool = field(init=False)
-    _pieces: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+    _pieces: tuple[np.ndarray, ...] | None = field(
         init=False, default=None, repr=False, compare=False
     )
     _success: dict[tuple[ReceptionModel, float], np.ndarray] = field(
@@ -444,14 +443,7 @@ class ActionFunction:
             if np.any(np.diff(radii) < 0) or np.any(radii < 0):
                 raise GridGeometryError("band radii must be nonnegative and nondecreasing")
             self.bands = (radii, blevels)
-            edges = np.concatenate(([0.0], radii, [2.0 * self.geometry.half_width]))[:, None]
-            lo = np.empty((2, len(blevels), self.geometry.n_points))
-            hi = np.empty_like(lo)
-            np.maximum(grid.cell_lo, edges[:-1], out=lo[0])
-            np.maximum(np.minimum(grid.cell_hi, edges[1:], out=hi[0]), lo[0], out=hi[0])
-            np.maximum(grid.cell_lo, -edges[1:], out=lo[1])
-            np.maximum(np.minimum(grid.cell_hi, -edges[:-1], out=hi[1]), lo[1], out=hi[1])
-            self._pieces = (lo, hi, hi - lo)
+            self._pieces = _cell_pieces(grid, radii)
 
     def value_at(self, e: float) -> float:
         """Rule evaluated at a real innovation (band rule, else nearest node)."""
@@ -461,6 +453,25 @@ class ActionFunction:
         idx = int(round((e + self.geometry.half_width) / self.geometry.spacing))
         idx = min(max(idx, 0), self.geometry.n_points - 1)
         return float(self.values[idx])
+
+
+def _cell_pieces(grid: _GridArrays, radii: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A banded rule's pieces in cell order, as (cell, band, lo, hi, length).
+    Each cell is one piece [cell_lo, cell_hi], split at zero and at every
+    switch radius strictly inside it; a split cell lists its e >= 0 pieces,
+    then its e < 0 ones, each side's bands from zero outward."""
+    cuts = np.unique(np.concatenate((-radii, [0.0], radii)))
+    # every (cell j, cut c) with cell_lo[j] < c < cell_hi[j]
+    spans = zip(cuts, np.searchsorted(grid.cell_hi, cuts, "right"),
+                np.searchsorted(grid.cell_lo, cuts, "left"))
+    at, cut = map(np.array, zip(*[(j, c) for c, first, stop in spans for j in range(first, stop)]))
+    lo, hi = np.insert(grid.cell_lo, at + 1, cut), np.insert(grid.cell_hi, at, cut)
+    cell = np.insert(np.arange(len(grid.nodes)), at, at)
+    band = np.searchsorted(radii, np.maximum(lo, -hi), side="right")
+    # the order a dense (side, band, cell) sum adds a cell's pieces in, so the
+    # bincount's cell averages equal oracles.dense_cell_average bit for bit
+    order = np.argsort((2 * cell + (hi <= 0.0)) * (len(radii) + 1) + band, kind="stable")
+    return cell, band[order], lo[order], hi[order], (hi - lo)[order]
 
 
 def constant_action(
@@ -510,8 +521,8 @@ def _cell_average(action: ActionFunction, per_level: np.ndarray) -> np.ndarray:
     value, or on a banded rule the length-weighted mean over the cell's pieces."""
     if action.bands is None:
         return per_level
-    lengths = np.einsum("b,sbj->j", per_level, action._pieces[2])
-    return lengths / _grid_arrays(action.geometry).cell_w
+    cell, band, _, _, lengths = action._pieces
+    return np.bincount(cell, per_level[band] * lengths) / _grid_arrays(action.geometry).cell_w
 
 
 def expected_power(belief: BeliefGrid, action: ActionFunction) -> float:
@@ -686,26 +697,14 @@ def stage_cost(
     power = expected_power(belief, action)
     q = _level_success(action, reception, gain)
     if action.bands is not None:
-        # Each sum runs over every (side, band, cell) piece, as it would over
-        # the products of whole piece arrays, but only nonempty pieces are
-        # multiplied out: an empty one's product is 0.0 in any form.
-        lo, hi, lengths = action._pieces
-        n_bands, n = lengths.shape[1:]
-        nonempty = np.flatnonzero(lengths != 0.0)
-        rows, cell = np.divmod(nonempty, n)
-        fail_w = (1.0 - q)[rows % n_bands] * belief.weights[cell]
-        lo, hi, whole = lo.ravel()[nonempty], hi.ravel()[nonempty], np.zeros(lo.shape)
-
-        def total(products: np.ndarray) -> float:
-            whole.ravel()[nonempty] = products
-            return float(np.sum(whole))
-
-        fail_mass = total(fail_w * lengths.ravel()[nonempty])
+        cell, band, lo, hi, lengths = action._pieces
+        fail_w = (1.0 - q)[band] * belief.weights[cell]
+        fail_mass = float(np.sum(fail_w * lengths))
         if fail_mass < DEGENERATE_SUCCESS_TOL:
             return alpha * power
-        e_hat = 0.5 * total(fail_w * (hi * hi - lo * lo)) / fail_mass
+        e_hat = 0.5 * float(np.sum(fail_w * (hi * hi - lo * lo))) / fail_mass
         b, a = hi - e_hat, lo - e_hat
-        distortion = total(fail_w * (b * b * b - a * a * a)) / 3.0
+        distortion = float(np.sum(fail_w * (b * b * b - a * a * a))) / 3.0
     else:
         distortion = _node_distortion(belief.cell_masses(), q, belief.nodes)
     return alpha * power + distortion

@@ -37,8 +37,8 @@ from .model import (
     validate_channel,
     validate_stability,
 )
-from .policy import PowerPolicy
-from .rearrange import rearranged_action
+from .policy import PolicyDomainError, PowerPolicy
+from .rearrange import MeasureMatchError, rearranged_action
 from .simulator import replicate
 from .solver import (
     ChainStructureError,
@@ -52,6 +52,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_BAD_INPUT = 3
+
+# The most alpha values one sweep solves; that many solves already take hours.
+_MAX_SWEEP_POINTS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -330,7 +333,7 @@ def _parse_alpha_range(text: str) -> list[float]:
     if step <= 0 or stop < start:
         raise ConfigError(f"bad --alpha range {text!r}: need step > 0 and stop >= start")
     span = (stop - start) / step
-    if not math.isfinite(span):
+    if not span + 1e-9 < _MAX_SWEEP_POINTS:  # an infinite span fails too
         raise ConfigError(f"bad --alpha range {text!r}: too many points")
     count = int(span + 1e-9) + 1
     return [start + i * step for i in range(count)]
@@ -426,8 +429,12 @@ def run(argv: list[str] | None = None) -> int:
     except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ChainStructureError, GridGeometryError, SupportOverflowError) as exc:
+    except (ChainStructureError, GridGeometryError, MeasureMatchError,
+            SupportOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except PolicyDomainError as exc:  # a KeyError, whose str() quotes the message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from .model import (
     ModelError,
     ReceptionModel,
     ScalarProcess,
+    _is_int,
     reception_prob,
 )
 
@@ -81,10 +82,9 @@ def merge_config(user: dict) -> dict:
     return resolved
 
 
-def _is_number(value, kind: type | tuple[type, ...] = (int, float)) -> bool:
-    """True for a JSON number, or for a JSON integer with kind=int; a bool is
-    neither."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _is_number(value) -> bool:
+    """True for a JSON number (an int or a float); a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _number(value, name: str) -> float:
@@ -103,13 +103,13 @@ def _numbers(values, name: str) -> tuple[float, ...]:
 def _check_solver(solver: dict) -> None:
     """Reject solver entries of the wrong type or range before any solve."""
     for key in ("depth", "max_rounds"):
-        if not (_is_number(solver[key], int) and solver[key] >= 1):
+        if not (_is_int(solver[key]) and solver[key] >= 1):
             raise ConfigError(f"solver.{key} must be an integer >= 1, got {solver[key]!r}")
     tol = solver["tol_rho"]
     if not (_is_number(tol) and 0 <= tol <= sys.float_info.max):
         raise ConfigError(f"solver.tol_rho must be a finite number >= 0, got {tol!r}")
     points = solver["threshold_points"]
-    if points is not None and not (_is_number(points, int) and points >= 2):
+    if points is not None and not (_is_int(points) and points >= 2):
         raise ConfigError(
             f"solver.threshold_points must be null or an integer >= 2, got {points!r}"
         )
@@ -118,10 +118,10 @@ def _check_solver(solver: dict) -> None:
 def _check_simulate(sim: dict) -> None:
     """Reject simulate entries of the wrong type or range before any rollout."""
     for key in ("horizon", "replications", "window"):
-        if not (_is_number(sim[key], int) and sim[key] >= 1):
+        if not (_is_int(sim[key]) and sim[key] >= 1):
             raise ConfigError(f"simulate.{key} must be an integer >= 1, got {sim[key]!r}")
     seed = sim["base_seed"]
-    if not (_is_number(seed, int) and seed >= 0):
+    if not (_is_int(seed) and seed >= 0):
         raise ConfigError(f"simulate.base_seed must be an integer >= 0, got {seed!r}")
     if sim["estimator"] not in ("closed_form", "belief_mean"):
         raise ConfigError(
@@ -149,7 +149,7 @@ def build_problem(cfg: dict) -> ControlProblem:
     """Model objects from the resolved sections; every real-valued entry must
     be a JSON number (not a string or a bool) and every index a JSON integer."""
     index = cfg["channel"]["initial_gain_index"]
-    if not _is_number(index, int):
+    if not _is_int(index):
         raise ConfigError(f"channel.initial_gain_index must be an integer, got {index!r}")
     pc, ch, rc, ac = cfg["process"], cfg["channel"], cfg["reception"], cfg["actions"]
     transition = ch["transition"]
@@ -210,7 +210,7 @@ def build_geometry(cfg: dict, problem: ControlProblem | None = None) -> GridGeom
     if grid["half_width"] is None and problem is None:
         raise ConfigError("grid.half_width: null requires the model sections")
     n_points = grid["n_points"]
-    if not _is_number(n_points, int):
+    if not _is_int(n_points):
         raise ConfigError(f"grid.n_points must be an integer, got {n_points!r}")
     try:
         if grid["half_width"] is None:

@@ -52,6 +52,18 @@ class ThresholdAction:
         if any(b < a for a, b in zip(t, t[1:])):
             raise ValueError("thresholds must be nondecreasing")
 
+    def _check_fits(self, action_set: ActionSet) -> None:
+        """Raise ValueError unless the rule has one threshold per level
+        transition of `action_set` and its top one is within the saturation
+        radius."""
+        if len(self.thresholds) != action_set.n_levels - 1:
+            raise ValueError(
+                f"{len(self.thresholds)} thresholds cannot address "
+                f"{action_set.n_levels} power levels"
+            )
+        if self.thresholds and self.thresholds[-1] > action_set.saturation_radius:
+            raise ValueError("top threshold exceeds the saturation radius")
+
     def level_at(self, e: float, action_set: ActionSet) -> float:
         idx = int(np.searchsorted(np.asarray(self.thresholds), abs(e), side="right"))
         return action_set.levels[idx]
@@ -68,13 +80,7 @@ class ThresholdAction:
         node values only (the solver's convention).  Node values are built
         from the right half and mirrored, so the expansion is even by
         construction."""
-        if len(self.thresholds) != action_set.n_levels - 1:
-            raise ValueError(
-                f"{len(self.thresholds)} thresholds cannot address "
-                f"{action_set.n_levels} power levels"
-            )
-        if self.thresholds and self.thresholds[-1] > action_set.saturation_radius:
-            raise ValueError("top threshold exceeds the saturation radius")
+        self._check_fits(action_set)
         radii = np.asarray(self.thresholds, dtype=float)
         if banded:
             return banded_action(radii, np.asarray(action_set.levels), action_set, geometry)
@@ -330,7 +336,7 @@ class PowerPolicy:
         cls, data: dict, action_set: ActionSet, geometry: GridGeometry
     ) -> "PowerPolicy":
         """Rebuild a policy against the configured model, validating that the
-        stored level set and grid agree with it."""
+        stored level set, grid and threshold rules agree with it."""
         if list(action_set.levels) != [float(x) for x in data["levels"]]:
             raise ValueError("policy level set does not match the configured actions")
         if data["saturation_radius"] != action_set.saturation_radius:
@@ -341,7 +347,9 @@ class PowerPolicy:
 
         def parse_rule(entry: dict) -> Rule:
             if "thresholds" in entry and entry.get("thresholds") is not None:
-                return ThresholdAction(tuple(float(x) for x in entry["thresholds"]))
+                rule = ThresholdAction(tuple(float(x) for x in entry["thresholds"]))
+                rule._check_fits(action_set)
+                return rule
             return np.asarray(entry["table"], dtype=float)
 
         rules: dict[StateKey, Rule] = {}

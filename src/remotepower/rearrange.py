@@ -274,11 +274,7 @@ def _outward_quantiles(geometry: GridGeometry, masses: np.ndarray, targets) -> n
 
 
 def rearranged_action(
-    action: ActionFunction,
-    theta: BeliefGrid,
-    theta_hat: BeliefGrid,
-    *,
-    enforce: bool = True,
+    action: ActionFunction, theta: BeliefGrid, theta_hat: BeliefGrid
 ) -> ActionFunction:
     """Rewrite `action` (defined against theta) as an outward-increasing rule
     on theta_hat.
@@ -301,7 +297,7 @@ def rearranged_action(
     if errors[0] is not None:
         raise errors[0]
     levels = np.asarray(action.action_set.levels, dtype=float)
-    return banded_action(radii[0], levels, action.action_set, theta_hat.geometry, enforce=enforce)
+    return banded_action(radii[0], levels, action.action_set, theta_hat.geometry)
 
 
 def _rearranged_radii(

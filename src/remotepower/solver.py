@@ -998,7 +998,7 @@ class _ProbeChunk:
     pair[1]), a threshold rule with sorted uniform switch radii, the switch
     radii of its rearranged twin, a channel gain, and the error probe r's
     generation stopped at, if any.  A twin is expanded only when it is used,
-    one at a time, as its pieces take 0.75 MB on the canonical grid, and a
+    one at a time (its pieces take about 160 KB on the canonical grid), and a
     rule is let go once used."""
 
     pair: np.ndarray

@@ -191,6 +191,56 @@ def step_rows_scipy_fft(geometry, process, parents, succ, fail, out) -> list:
     return errors
 
 
+def dense_pieces(action):
+    """A banded rule's pieces as dense arrays: the piece [lo, hi] that band b
+    cuts from cell j on side s (s = 0 for e >= 0) and its length, each of
+    shape (2, bands, n_points), with lo == hi where band b misses cell j.
+    The package kept its pieces so before it listed them flat in cell order."""
+    grid = _grid_arrays(action.geometry)
+    radii, blevels = action.bands
+    edges = np.concatenate(([0.0], radii, [2.0 * action.geometry.half_width]))[:, None]
+    lo = np.empty((2, len(blevels), action.geometry.n_points))
+    hi = np.empty_like(lo)
+    np.maximum(grid.cell_lo, edges[:-1], out=lo[0])
+    np.maximum(np.minimum(grid.cell_hi, edges[1:], out=hi[0]), lo[0], out=hi[0])
+    np.maximum(grid.cell_lo, -edges[1:], out=lo[1])
+    np.maximum(np.minimum(grid.cell_hi, -edges[:-1], out=hi[1]), lo[1], out=hi[1])
+    return lo, hi, hi - lo
+
+
+def dense_cell_average(action, per_level: np.ndarray) -> np.ndarray:
+    """Per-cell mean of a per-band quantity over the dense pieces, summed by
+    the einsum the package used on them."""
+    lengths = np.einsum("b,sbj->j", per_level, dense_pieces(action)[2])
+    return lengths / _grid_arrays(action.geometry).cell_w
+
+
+def dense_stage_cost(belief, gain: float, action, reception, weights) -> float:
+    """The banded ``stage_cost`` on the dense pieces: each sum scatters the
+    nonempty pieces' products into a zero (2, bands, n_points) array and
+    sums all of it."""
+    _, blevels = action.bands
+    power = float(belief.cell_masses() @ dense_cell_average(action, blevels))
+    q = reception_prob(reception, blevels, gain)
+    lo, hi, lengths = dense_pieces(action)
+    n_bands, n = lengths.shape[1:]
+    nonempty = np.flatnonzero(lengths != 0.0)
+    rows, cell = np.divmod(nonempty, n)
+    fail_w = (1.0 - q)[rows % n_bands] * belief.weights[cell]
+    lo, hi, whole = lo.ravel()[nonempty], hi.ravel()[nonempty], np.zeros(lo.shape)
+
+    def total(products: np.ndarray) -> float:
+        whole.ravel()[nonempty] = products
+        return float(np.sum(whole))
+
+    fail_mass = total(fail_w * lengths.ravel()[nonempty])
+    if fail_mass < 1e-12:
+        return weights.alpha * power
+    e_hat = 0.5 * total(fail_w * (hi * hi - lo * lo)) / fail_mass
+    b, a = hi - e_hat, lo - e_hat
+    return weights.alpha * power + total(fail_w * (b * b * b - a * a * a)) / 3.0
+
+
 def gain_path(channel, horizon: int, seed: int, replication: int = 0) -> list[int]:
     """The channel gain index at each of a rollout's steps 1 .. horizon,
     walked one step at a time: after step k the next gain is the first index

@@ -576,3 +576,77 @@ def test_commands_at_one_thread_load_no_optional_module(tiny_cfg_path, tmp_path)
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _edited_policy(solved, tmp_path, edit) -> str:
+    """The tiny solve output with `edit` applied to its policy, as a file."""
+    _, payload = solved
+    payload = json.loads(json.dumps(payload))
+    edit(payload["policy"])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _bad_policy_runs(tiny_cfg_path, policy_path, capsys) -> list[tuple[int, str]]:
+    """Exit code and stderr of each command that reads a stored policy."""
+    results = []
+    for command in ("evaluate", "simulate", "verify-structure"):
+        code = run([command, tiny_cfg_path, "--policy", policy_path])
+        results.append((code, capsys.readouterr().err))
+    return results
+
+
+def test_a_policy_with_the_wrong_threshold_count_is_bad_input(tiny_cfg_path, tmp_path, solved, capsys):
+    # two thresholds for the tiny config's two power levels, which take one
+    path = _edited_policy(solved, tmp_path, lambda p: p["states"][0].update(thresholds=[1.0, 2.0]))
+    for code, err in _bad_policy_runs(tiny_cfg_path, path, capsys):
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert "2 thresholds cannot address 2 power levels" in err
+
+
+def test_a_policy_threshold_past_the_saturation_radius_is_bad_input(
+    tiny_cfg_path, tmp_path, solved, capsys
+):
+    path = _edited_policy(solved, tmp_path, lambda p: p["states"][0].update(thresholds=[7.0]))
+    for code, err in _bad_policy_runs(tiny_cfg_path, path, capsys):
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert "top threshold exceeds the saturation radius" in err
+
+
+def test_a_policy_that_misses_a_state_is_bad_input(tiny_cfg_path, tmp_path, solved, capsys):
+    path = _edited_policy(solved, tmp_path, lambda p: p["states"].pop())
+    for code, err in _bad_policy_runs(tiny_cfg_path, path, capsys):
+        assert code == 3
+        assert err == "error: policy does not cover node (0, 0) at gain 0\n"
+
+
+def test_verify_structure_reports_a_probe_measure_mismatch_as_bad_input(tmp_path, capsys):
+    # on the tiny grid a saturation radius of 10.02 leaves a probe's two
+    # beliefs with different mass beyond it
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg["actions"]["saturation_radius"] = 10.02
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(cfg))
+    code = run(["verify-structure", str(path), "--samples", "40", "--seed", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: beliefs differ by ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_sweep_refuses_more_than_the_most_points(tiny_cfg_path, tmp_path, capsys):
+    # a finite span of 1e300 steps
+    out = tmp_path / "sweep.csv"
+    code = run(["sweep", tiny_cfg_path, "--alpha", "0:1e-300:1", "-o", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "bad --alpha range" in err and "too many points" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+    assert len(cli._parse_alpha_range(f"0:1:{cli._MAX_SWEEP_POINTS - 1}")) == cli._MAX_SWEEP_POINTS
+    with pytest.raises(cli.ConfigError, match="too many points"):
+        cli._parse_alpha_range(f"0:1:{cli._MAX_SWEEP_POINTS}")
