@@ -232,12 +232,10 @@ class BeliefGrid:
         self.weights = weights
         self.nodes = grid.nodes
         self._cell_w = grid.cell_w
-        total = float(self._cell_w @ weights)
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise GridGeometryError(
-                f"belief not normalized: trapezoid integral {total!r} "
-                f"(drift budget {NORMALIZATION_TOL})"
-            )
+        errors: list[ValueError | None] = [None]
+        _check_normalized(weights[None], self._cell_w, errors)
+        if errors[0] is not None:
+            raise errors[0]
 
     @classmethod
     def _view(cls, geometry: GridGeometry, weights: np.ndarray) -> BeliefGrid:
@@ -440,8 +438,7 @@ class ActionFunction:
             blevels = np.asarray(blevels, dtype=float)
             if len(blevels) != len(radii) + 1:
                 raise GridGeometryError("bands need len(levels) == len(radii) + 1")
-            if np.any(np.diff(radii) < 0) or np.any(radii < 0):
-                raise GridGeometryError("band radii must be nonnegative and nondecreasing")
+            _check_radii(radii, "band radii")
             self.bands = (radii, blevels)
             self._pieces = _cell_pieces(grid, radii)
 
@@ -453,6 +450,14 @@ class ActionFunction:
         idx = int(round((e + self.geometry.half_width) / self.geometry.spacing))
         idx = min(max(idx, 0), self.geometry.n_points - 1)
         return float(self.values[idx])
+
+
+def _check_radii(radii, what: str) -> None:
+    """Raise GridGeometryError unless the switch radii are nonnegative and
+    nondecreasing; a NaN radius is neither, +inf is both."""
+    radii = np.asarray(radii, dtype=float)
+    if not (np.all(radii >= 0.0) and np.all(radii[1:] >= radii[:-1])):
+        raise GridGeometryError(f"{what} must be nonnegative and nondecreasing")
 
 
 def _cell_pieces(grid: _GridArrays, radii: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -704,7 +709,7 @@ def stage_cost(
             return alpha * power
         e_hat = 0.5 * float(np.sum(fail_w * (hi * hi - lo * lo))) / fail_mass
         b, a = hi - e_hat, lo - e_hat
-        distortion = float(np.sum(fail_w * (b * b * b - a * a * a))) / 3.0
+        distortion = float(np.sum(fail_w * lengths * (b * b + a * b + a * a))) / 3.0
     else:
         distortion = _node_distortion(belief.cell_masses(), q, belief.nodes)
     return alpha * power + distortion

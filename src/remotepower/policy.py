@@ -19,6 +19,7 @@ from .belief import (
     ActionFunction,
     BeliefGrid,
     GridGeometry,
+    _check_radii,
     _grid_arrays,
     banded_action,
     constant_action,
@@ -46,11 +47,7 @@ class ThresholdAction:
     thresholds: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        t = self.thresholds
-        if any(x < 0 for x in t):
-            raise ValueError("thresholds must be nonnegative")
-        if any(b < a for a, b in zip(t, t[1:])):
-            raise ValueError("thresholds must be nondecreasing")
+        _check_radii(self.thresholds, "thresholds")
 
     def _check_fits(self, action_set: ActionSet) -> None:
         """Raise ValueError unless the rule has one threshold per level

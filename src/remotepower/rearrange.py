@@ -16,6 +16,11 @@ in the radius and the measure matching can use exact real-valued radii
 rather than radii snapped to grid nodes (a snapped radius misplaces up to
 half a cell of mass, orders of magnitude above what the preservation
 identities tolerate).
+
+The rearrangement, the measure matching and the draw of related pairs also
+take (rows, points) arrays, which verify_structure's probe chunks use, and
+their public functions are the one-row cases.  The order is written once, on
+one pair of beliefs: the probes call relation_R one pair at a time.
 """
 
 from __future__ import annotations
@@ -123,16 +128,9 @@ def _dx_reach(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
 def is_even_unimodal(belief: BeliefGrid, tol: float = UNIMODAL_WIGGLE_TOL) -> bool:
     """True if the density is symmetric about zero and nonincreasing outward,
     up to quadrature wiggle of size tol."""
-    return bool(_even_unimodal_rows(belief.weights[None], tol)[0])
-
-
-def _even_unimodal_rows(weights: np.ndarray, tol: float) -> np.ndarray:
-    """is_even_unimodal of every row."""
-    m = weights.shape[1] // 2
-    return np.array([
-        float(np.max(np.abs(row - row[::-1]))) <= tol and bool(np.all(np.diff(row[m:]) <= tol))
-        for row in weights
-    ], dtype=bool)
+    w = belief.weights
+    m = belief.n_points // 2
+    return float(np.max(np.abs(w - w[::-1]))) <= tol and bool(np.all(np.diff(w[m:]) <= tol))
 
 
 def _inward_cumulative(geometry: GridGeometry, weights: np.ndarray) -> np.ndarray:
@@ -150,32 +148,14 @@ def majorizes(f: BeliefGrid, g: BeliefGrid, slack: float = MAJORIZATION_SLACK) -
     """True iff f's rearrangement is inward-heavier than g's at every radius.
 
     Both cumulatives are piecewise linear with kinks on the shared cell
-    boundaries, so comparing at the boundaries decides the whole line.
+    boundaries, so comparing at the boundaries decides the whole line.  f is
+    rearranged first, so a rearrangement error is f's before g's.
     """
     if f.geometry != g.geometry:
         raise ValueError("majorization needs both beliefs on the same grid")
-    errors: list[ValueError | None] = [None]
-    holds = _majorizes_rows(f.geometry, f.weights[None], g.weights[None], slack, errors)
-    if errors[0] is not None:
-        raise errors[0]
-    return bool(holds[0])
-
-
-def _majorizes_rows(
-    geometry: GridGeometry, f: np.ndarray, g: np.ndarray, slack: float,
-    errors: list[ValueError | None],
-) -> np.ndarray:
-    """majorizes of every row pair, one pair at a time; a row whose
-    rearrangement fails gets its error (f's before g's) in `errors`."""
-    holds = np.zeros(len(f), dtype=bool)
-    for r in range(len(f)):
-        f_errors: list[ValueError | None] = [None]
-        g_errors: list[ValueError | None] = [None]
-        inward_f = _inward_cumulative(geometry, _rearranged_rows(geometry, f[r, None], f_errors)[0])
-        inward_g = _inward_cumulative(geometry, _rearranged_rows(geometry, g[r, None], g_errors)[0])
-        errors[r] = f_errors[0] or g_errors[0]
-        holds[r] = np.all(inward_f >= inward_g - slack)
-    return holds
+    inward_f = _inward_cumulative(f.geometry, symmetric_decreasing_rearrangement(f).weights)
+    inward_g = _inward_cumulative(g.geometry, symmetric_decreasing_rearrangement(g).weights)
+    return bool(np.all(inward_f >= inward_g - slack))
 
 
 def relation_R(
@@ -189,50 +169,21 @@ def relation_R(
 ) -> bool:
     """Partial order on beliefs used by the threshold-structure argument.
 
-    Holds when theta_star majorizes theta, theta_star is even and unimodal
-    about zero, and the two densities agree pointwise wherever |e| exceeds
-    the saturation radius.
+    Holds when theta_star is even and unimodal about zero, majorizes theta,
+    and the two densities agree pointwise wherever |e| exceeds the saturation
+    radius.  The clauses are decided in that order and each only if the ones
+    before it hold, so neither belief is rearranged unless theta_star is even
+    and unimodal; a rearrangement error is raised, theta_star's first.
     """
     if theta.geometry != theta_star.geometry:
         raise ValueError("relation_R needs both beliefs on the same grid")
-    errors: list[ValueError | None] = [None]
-    holds = _relation_R_rows(
-        theta.geometry, theta.weights[None], theta_star.weights[None], saturation_radius,
-        errors, majorization_slack=majorization_slack, tail_tol=tail_tol,
-        unimodal_tol=unimodal_tol,
-    )
-    if errors[0] is not None:
-        raise errors[0]
-    return bool(holds[0])
-
-
-def _relation_R_rows(
-    geometry: GridGeometry,
-    theta: np.ndarray,
-    theta_star: np.ndarray,
-    saturation_radius: float,
-    errors: list[ValueError | None],
-    *,
-    majorization_slack: float,
-    tail_tol: float,
-    unimodal_tol: float,
-) -> np.ndarray:
-    """relation_R of every row pair.  A clause is decided only for the rows
-    the clauses before it hold on, so a row's rearrangements are made only
-    where relation_R makes them; a row whose rearrangement fails gets its
-    error in `errors`."""
-    holds = _even_unimodal_rows(theta_star, unimodal_tol)
-    outside = np.abs(_grid_arrays(geometry).nodes) > saturation_radius
-    for r in np.flatnonzero(holds):
-        row_errors: list[ValueError | None] = [None]
-        holds[r] = _majorizes_rows(
-            geometry, theta_star[r : r + 1], theta[r : r + 1], majorization_slack, row_errors
-        )[0]
-        errors[r] = row_errors[0]
-        if holds[r] and np.any(outside):
-            gap = float(np.max(np.abs(theta[r, outside] - theta_star[r, outside])))
-            holds[r] = gap <= tail_tol
-    return holds
+    if not (is_even_unimodal(theta_star, unimodal_tol)
+            and majorizes(theta_star, theta, majorization_slack)):
+        return False
+    outside = np.abs(theta.nodes) > saturation_radius
+    if not np.any(outside):
+        return True
+    return float(np.max(np.abs(theta.weights[outside] - theta_star.weights[outside]))) <= tail_tol
 
 
 def outward_quantile(belief: BeliefGrid, mass: float) -> float:

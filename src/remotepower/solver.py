@@ -25,11 +25,12 @@ gain at once.
 
 ``verify_structure``'s randomized probes run in chunks of ``_PROBE_CHUNK``.
 A chunk's random numbers are drawn one probe at a time, in the order a lone
-probe draws them; its relation pairs, rearrangements, rearranged switch
-radii and relation_R checks are computed on (probes, points) rows, and its
-belief steps go through the same block dispatch as a tree level, stepped in
-place.  Every margin and verdict has the bits of the probe run alone, and
-the first probe that fails raises its error.
+probe draws them; its relation pairs, rearrangements and rearranged switch
+radii are computed on (probes, points) rows, and its belief steps go through
+the same block dispatch as a tree level, stepped in place.  Each stepped
+probe is then decided by one ``relation_R`` call.  Every margin and verdict
+has the bits of the probe run alone, and the first probe that fails raises
+its error.
 
 Depth capping makes the tail nodes approximate: their beliefs are frozen and
 they transmit at full power, so a failure at the cap self-loops.  The solver
@@ -91,12 +92,11 @@ from .policy import (
     threshold_grid,
 )
 from .rearrange import (
-    UNIMODAL_WIGGLE_TOL,
     _draw_relation_pair,
     _pair_cells,
     _rearranged_radii,
     _relation_pair_rows,
-    _relation_R_rows,
+    relation_R,
 )
 
 STATIONARY_RESIDUAL_TOL = 1e-10
@@ -1100,8 +1100,8 @@ def _order_verdicts(
 
 def _chunk_verdicts(chain: UnfoldedChain, chunk: _ProbeChunk) -> list[bool | None]:
     """The chunk's theta and theta_hat rows go through the belief step
-    together, in place, and relation_R is decided on the rows of its stepped
-    probes at once."""
+    together, in place, and then relation_R decides each stepped probe in
+    turn."""
     problem, geometry = chain.problem, chain.geometry
     reception = problem.reception
     errors = chunk.errors
@@ -1130,14 +1130,7 @@ def _chunk_verdicts(chain: UnfoldedChain, chunk: _ProbeChunk) -> list[bool | Non
     ), block_rows=2 * _PROBE_CHUNK)
     del vectors
     steps = {r: (step_errors[k], step_errors[len(made) + k]) for k, r in enumerate(made)}
-    checked = [r for r in made if steps[r] == (None, None)]
-    relation_errors: list[ValueError | None] = [None] * len(checked)
-    holds = _relation_R_rows(
-        geometry, chunk.theta[checked], chunk.theta_hat[checked],
-        problem.actions.saturation_radius, relation_errors,
-        majorization_slack=1e-6, tail_tol=1e-7, unimodal_tol=UNIMODAL_WIGGLE_TOL,
-    )
-    verdict = {r: (bool(h), err) for r, h, err in zip(checked, holds, relation_errors)}
+    L = problem.actions.saturation_radius
     verdicts: list[bool | None] = []
     for r, err in enumerate(errors):
         if err is not None:
@@ -1148,10 +1141,9 @@ def _chunk_verdicts(chain: UnfoldedChain, chunk: _ProbeChunk) -> list[bool | Non
             continue
         if step is not None:
             raise step
-        ok, err = verdict[r]
-        if err is not None:
-            raise err
-        verdicts.append(ok)
+        theta = BeliefGrid._view(geometry, chunk.theta[r])
+        theta_hat = BeliefGrid._view(geometry, chunk.theta_hat[r])
+        verdicts.append(relation_R(theta, theta_hat, L, majorization_slack=1e-6, tail_tol=1e-7))
     return verdicts
 
 

@@ -12,6 +12,7 @@ from remotepower import (
     BeliefGrid,
     CostWeights,
     GridGeometry,
+    GridGeometryError,
     ReceptionModel,
     banded_action,
     expected_power,
@@ -176,3 +177,57 @@ def test_a_radius_inside_the_centre_cell_cuts_it_in_four():
     assert hi[at].tolist() == [r, float(g.cell_hi[c]), 0.0, -r]
     assert band[at].tolist() == [0, 1, 0, 1]
     assert len(cell) == geometry.n_points + 3
+
+
+def _longdouble_stage_cost(belief, gain, action, reception, weights) -> np.longdouble:
+    """The banded stage cost summed in long double from the same double
+    inputs: levels, success probabilities, densities and piece ends."""
+    ld = np.longdouble
+    cell, band, lo, hi, _ = action._pieces
+    levels = action.bands[1]
+    q = reception_prob(reception, levels, gain).astype(ld)
+    w = belief.weights.astype(ld)[cell]
+    lo, hi = lo.astype(ld), hi.astype(ld)
+    power = np.sum(levels.astype(ld)[band] * w * (hi - lo))
+    fail_w = (1 - q)[band] * w
+    fail_mass = np.sum(fail_w * (hi - lo))
+    e_hat = np.sum(fail_w * (hi * hi - lo * lo)) / 2 / fail_mass
+    distortion = np.sum(fail_w * ((hi - e_hat) ** 3 - (lo - e_hat) ** 3)) / 3
+    return ld(weights.alpha) * power + distortion
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps / 16,
+    reason="long double carries no extra precision on this platform",
+)
+def test_banded_stage_cost_is_within_2e_15_of_a_long_double_sum():
+    # Wide Gaussians under mostly silent rules put the failure mean far from
+    # most pieces, where a difference of cubes about it cancels: summed that
+    # way the cost was off by up to 1.3e-14 relative on these cases.
+    geometry = GRIDS[0]
+    actions = ActionSet(levels=(0.0, 1.0, 2.0, 4.0), saturation_radius=12.0)
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for _ in range(150):
+        belief = gaussian_grid(rng.uniform(-15.0, 15.0), rng.uniform(3.0, 7.0) ** 2, geometry)
+        radii = np.sort(rng.uniform(6.0, 12.0, size=3))
+        action = banded_action(radii, np.asarray(actions.levels), actions, geometry)
+        gain = float(rng.choice([0.5, 2.0]))
+        got = stage_cost(belief, gain, action, RECEPTION, COST)
+        want = _longdouble_stage_cost(belief, gain, action, RECEPTION, COST)
+        worst = max(worst, float(abs(np.longdouble(got) - want) / abs(want)))
+    assert worst <= 2e-15
+
+
+def test_a_nan_band_radius_is_refused():
+    geometry = GRIDS[1]
+    actions = ActionSet(levels=(0.0, 2.0, 4.0), saturation_radius=10.0)
+    levels = np.asarray(actions.levels)
+    for radii in ([np.nan, 5.0], [1.0, np.nan], [np.nan, np.nan]):
+        with pytest.raises(GridGeometryError, match="band radii"):
+            banded_action(np.array(radii), levels, actions, geometry, enforce=False)
+        with pytest.raises(GridGeometryError):
+            banded_action(np.array(radii), levels, actions, geometry)
+    # an infinite radius still builds: the band below it never ends
+    rule = banded_action(np.array([1.0, np.inf]), levels, actions, geometry, enforce=False)
+    assert rule.value_at(1e300) == 2.0

@@ -650,3 +650,20 @@ def test_sweep_refuses_more_than_the_most_points(tiny_cfg_path, tmp_path, capsys
     assert len(cli._parse_alpha_range(f"0:1:{cli._MAX_SWEEP_POINTS - 1}")) == cli._MAX_SWEEP_POINTS
     with pytest.raises(cli.ConfigError, match="too many points"):
         cli._parse_alpha_range(f"0:1:{cli._MAX_SWEEP_POINTS}")
+
+
+def test_a_nan_threshold_in_a_stored_policy_is_a_config_error(tmp_path, capsys):
+    inputs = os.path.join(os.path.dirname(__file__), "..", "bench", "inputs")
+    with open(os.path.join(inputs, "canonical_policy.json")) as f:
+        payload = json.load(f)
+    root = next(s for s in payload["policy"]["states"] if s["node"] == [] and s["gain"] == 0)
+    root["thresholds"][1] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(payload))
+    code = run(["evaluate", os.path.join(inputs, "solve-canonical.json"), "--policy", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert "thresholds must be nonnegative and nondecreasing" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1

@@ -9,6 +9,7 @@ from remotepower import (
     ActionFunction,
     ActionSet,
     GridGeometry,
+    GridGeometryError,
     PolicyDomainError,
     PowerPolicy,
     ThresholdAction,
@@ -209,3 +210,11 @@ def test_policy_serialization_round_trip():
         PowerPolicy.from_dict(
             json.loads(blob), ActionSet(levels=(0.0, 4.0), saturation_radius=6.0), GEOM
         )
+
+
+def test_threshold_action_refuses_nan_and_keeps_infinite_thresholds():
+    for thresholds in ((float("nan"),), (1.0, float("nan"), 3.0), (1.0, 2.0, float("nan"))):
+        with pytest.raises(GridGeometryError, match="thresholds"):
+            ThresholdAction(thresholds)
+    # an infinite threshold still builds: the level below it never ends
+    assert ThresholdAction((1.0, float("inf"), float("inf"))).level_at(1e300, ACTS) == 1.0

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import remotepower.rearrange as rearrange
 from remotepower import (
     ActionFunction,
     ActionSet,
     BeliefGrid,
     GridGeometry,
+    GridGeometryError,
     MeasureMatchError,
     constant_action,
     expected_power,
@@ -195,3 +197,49 @@ def test_rearrangement_idempotent():
     once = symmetric_decreasing_rearrangement(skew)
     twice = symmetric_decreasing_rearrangement(once)
     assert np.max(np.abs(twice.weights - once.weights)) <= 1e-12
+
+
+def _count_rearrangements(monkeypatch) -> list[np.ndarray]:
+    """The weights of each belief rearrange._rearranged_rows is called on,
+    in call order."""
+    seen = []
+    real = rearrange._rearranged_rows
+
+    def counting(geometry, weights, errors, out=None):
+        seen.extend(row.copy() for row in weights)
+        return real(geometry, weights, errors, out)
+
+    monkeypatch.setattr(rearrange, "_rearranged_rows", counting)
+    return seen
+
+
+def test_relation_R_rearranges_only_where_its_clauses_reach(monkeypatch, rng):
+    theta, theta_hat = random_relation_pair(GEOM, rng, max_radius=6.0)
+    seen = _count_rearrangements(monkeypatch)
+    narrow = gaussian_grid(0.0, 1.0, GEOM)
+    # theta_star not even: decided without a rearrangement
+    assert not relation_R(narrow, gaussian_grid(2.0, 1.0, GEOM), 6.0)
+    assert seen == []
+    # majorization decided, failing and holding: theta_star's rearrangement first
+    wide = gaussian_grid(0.0, 4.0, GEOM)
+    assert not relation_R(narrow, wide, 6.0)
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], wide.weights) and np.array_equal(seen[1], narrow.weights)
+    seen.clear()
+    assert relation_R(theta, theta_hat, 6.0)
+    assert len(seen) == 2
+    assert np.array_equal(seen[0], theta_hat.weights) and np.array_equal(seen[1], theta.weights)
+
+
+def test_relation_R_raises_theta_stars_rearrangement_error_first():
+    # views skip the checks a BeliefGrid makes, so both rows reach the
+    # rearrangement: all zeros cannot be renormalized, an infinite weight
+    # normalizes to NaN
+    zeros = BeliefGrid._view(GEOM, np.zeros(GEOM.n_points))
+    weights = gaussian_grid(0.0, 1.0, GEOM).weights.copy()
+    weights[GEOM.n_points // 3] = np.inf
+    infinite = BeliefGrid._view(GEOM, weights)
+    with pytest.raises(GridGeometryError, match="all-zero"):
+        relation_R(infinite, zeros, 6.0)
+    with pytest.raises(GridGeometryError, match="finite"), np.errstate(invalid="ignore"):
+        relation_R(infinite, gaussian_grid(0.0, 1.0, GEOM), 6.0)
