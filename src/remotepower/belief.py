@@ -44,9 +44,8 @@ thread keeps per grid.  Cached arrays are read-only;
 There is one belief step after a miss, and it takes many rows at once as
 (rows, points) arrays: the failure-history tree sends every child of a tree
 level through it, in blocks of ``_BLOCK_ROWS`` rows on one thread or of half
-that on two, ``verify_structure``'s probes send the rows of each chunk of
-probes through the same dispatch, and ``propagate`` and ``post_failure``
-are its one-row cases.
+that on two, and ``propagate`` and ``post_failure`` are its one-row cases
+(``verify_structure``'s order probes step each belief with ``propagate``).
 It conditions the block on the miss and renormalizes it with elementwise
 operations and one dot product per row, takes the row cumulative sums, pulls
 each row back through the plant map, convolves all rows with the noise

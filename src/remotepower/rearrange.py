@@ -17,10 +17,10 @@ rather than radii snapped to grid nodes (a snapped radius misplaces up to
 half a cell of mass, orders of magnitude above what the preservation
 identities tolerate).
 
-The rearrangement, the measure matching and the draw of related pairs also
-take (rows, points) arrays, which verify_structure's probe chunks use, and
-their public functions are the one-row cases.  The order is written once, on
-one pair of beliefs: the probes call relation_R one pair at a time.
+Every function here works on one belief or one pair of beliefs, and
+verify_structure's probes call them one probe at a time.  Only the
+rearrangement keeps a (rows, points) form underneath, of which
+symmetric_decreasing_rearrangement is the one-row case.
 """
 
 from __future__ import annotations
@@ -38,8 +38,9 @@ from .belief import (
     _grid_arrays,
     _normalize_rows,
     _one_row,
-    _outward_lengths,
+    _renormalized,
     banded_action,
+    outward_mass,
 )
 
 MAJORIZATION_SLACK = 1e-9
@@ -240,41 +241,19 @@ def rearranged_action(
     """
     if theta.geometry != theta_hat.geometry:
         raise ValueError("rearranged_action needs both beliefs on the same grid")
-    errors: list[ValueError | None] = [None]
-    radii = _rearranged_radii(
-        action.action_set, theta.geometry, [action.values], theta.weights[None],
-        theta_hat.weights[None], errors,
-    )
-    if errors[0] is not None:
-        raise errors[0]
-    levels = np.asarray(action.action_set.levels, dtype=float)
-    return banded_action(radii[0], levels, action.action_set, theta_hat.geometry)
-
-
-def _rearranged_radii(
-    action_set, geometry: GridGeometry, values: list[np.ndarray], theta: np.ndarray,
-    theta_hat: np.ndarray, errors: list[ValueError | None],
-) -> np.ndarray:
-    """The switch radii of rearranged_action for every row: the rule with node
-    values values[r] on belief theta[r], rewritten onto theta_hat[r].  A row
-    whose two beliefs differ in mass beyond the saturation radius gets a
-    MeasureMatchError in `errors` unless it has an error already."""
+    action_set = action.action_set
     L = action_set.saturation_radius
-    outward = _outward_lengths(geometry, L)
-    cell_w = _grid_arrays(geometry).cell_w
+    tail_gap = abs(outward_mass(theta, L) - outward_mass(theta_hat, L))
+    if tail_gap > 1e-9:
+        raise MeasureMatchError(
+            f"beliefs differ by {tail_gap:.3e} in mass beyond the saturation radius {L}"
+        )
     levels = np.asarray(action_set.levels, dtype=float)
-    radii = np.empty((len(theta), len(levels) - 1))
-    for r, (rule, row, hat) in enumerate(zip(values, theta, theta_hat)):
-        tail_gap = abs(float(row @ outward) - float(hat @ outward))
-        if errors[r] is None and tail_gap > 1e-9:
-            errors[r] = MeasureMatchError(
-                f"beliefs differ by {tail_gap:.3e} in mass beyond the saturation radius {L}"
-            )
-        masses = cell_w * row
-        at_or_above = [float(masses[rule >= level].sum()) for level in levels[1:]]
-        radii[r] = _outward_quantiles(geometry, cell_w * hat, at_or_above)
-    np.minimum(radii, L, out=radii)
-    return np.maximum.accumulate(radii, axis=1)
+    masses = theta.cell_masses()
+    at_or_above = [float(masses[action.values >= level].sum()) for level in levels[1:]]
+    radii = _outward_quantiles(theta.geometry, theta_hat.cell_masses(), at_or_above)
+    radii = np.maximum.accumulate(np.minimum(radii, L))
+    return banded_action(radii, levels, action_set, theta_hat.geometry)
 
 
 def interior_permutation(
@@ -287,33 +266,17 @@ def interior_permutation(
     the rearrangement can see: the shuffled belief and the original have the
     same symmetric decreasing rearrangement.  This makes the function a cheap
     generator of exactly-related pairs for randomized order checks.  The two
-    half-width endpoint cells stay put.
+    half-width endpoint cells stay put.  Of the checks a BeliefGrid makes,
+    only the normalization can come out differently, so only it is made.
     """
-    eligible = _eligible_cells(belief.geometry, max_radius)
-    errors: list[ValueError | None] = [None]
-    rows = belief.weights[None].copy()
-    _permute_rows(belief.geometry, rows, eligible, [rng.permutation(eligible)], errors)
-    return _one_row(belief.geometry, rows, errors)
-
-
-def _eligible_cells(geometry: GridGeometry, max_radius: float | None) -> np.ndarray:
-    """The interior cells interior_permutation shuffles."""
-    eligible = np.arange(1, geometry.n_points - 1)
+    eligible = np.arange(1, belief.n_points - 1)
     if max_radius is not None:
-        eligible = eligible[np.abs(_grid_arrays(geometry).nodes[eligible]) < max_radius]
-    return eligible
-
-
-def _permute_rows(
-    geometry: GridGeometry, rows: np.ndarray, eligible: np.ndarray,
-    permutations: list[np.ndarray], errors: list[ValueError | None],
-) -> None:
-    """Read the `eligible` cells of row r from permutations[r], in place, and
-    make the normalization check a BeliefGrid makes (a permutation keeps
-    every other property of a checked row)."""
-    for row, permutation in zip(rows, permutations):
-        row[eligible] = row[permutation]
-    _check_normalized(rows, _grid_arrays(geometry).cell_w, errors)
+        eligible = eligible[np.abs(belief.nodes[eligible]) < max_radius]
+    w = belief.weights.copy()
+    w[eligible] = w[rng.permutation(eligible)]
+    errors: list[ValueError | None] = [None]
+    _check_normalized(w[None], _grid_arrays(belief.geometry).cell_w, errors)
+    return _one_row(belief.geometry, w[None], errors)
 
 
 def random_relation_pair(
@@ -327,49 +290,15 @@ def random_relation_pair(
     mixture carries no mass near the boundary and the untouched tail cells
     agree between the two beliefs.
     """
-    eligible = _pair_cells(geometry, max_radius)
-    errors: list[ValueError | None] = [None]
-    theta, theta_hat = _relation_pair_rows(
-        geometry, [_draw_relation_pair(geometry, rng, eligible)], eligible, errors
-    )
-    return _one_row(geometry, theta, errors), BeliefGrid._view(geometry, theta_hat[0])
-
-
-def _pair_cells(geometry: GridGeometry, max_radius: float) -> np.ndarray:
-    """The cells random_relation_pair shuffles, once max_radius is checked."""
     if not 0.0 < max_radius < geometry.half_width:
         raise ValueError("max_radius must lie inside the grid")
-    return _eligible_cells(geometry, max_radius)
-
-
-def _draw_relation_pair(
-    geometry: GridGeometry, rng: np.random.Generator, eligible: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One relation pair's draws from `rng`, in order: the component count,
-    the widths, the mixture weights and the permutation of `eligible`."""
     k = int(rng.integers(1, 4))
     sigma_cap = max(0.75, min(2.0, geometry.half_width / 8.0))
     sigmas = rng.uniform(0.5, sigma_cap, size=k)
     mix = rng.dirichlet(np.ones(k)) if k > 1 else np.ones(1)
-    return sigmas, mix, rng.permutation(eligible)
-
-
-def _relation_pair_rows(
-    geometry: GridGeometry,
-    draws: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    eligible: np.ndarray,
-    errors: list[ValueError | None],
-) -> np.ndarray:
-    """The theta and theta_hat rows of random_relation_pair for each row's
-    draws, as one (2, rows, points) array; a row that fails a check gets its
-    error in `errors`, first one first."""
-    nodes, cell_w = _grid_arrays(geometry).nodes, _grid_arrays(geometry).cell_w
-    pair = np.zeros((2, len(draws), geometry.n_points))
-    dens = pair[0]
-    for row, (sigmas, mix, _) in zip(dens, draws):
-        for w, s in zip(mix, sigmas):
-            row += w * np.exp(-0.5 * (nodes / s) ** 2) / s
-    _normalize_rows(dens, _clipped_totals(dens, cell_w), cell_w, dens, errors)
-    _permute_rows(geometry, dens, eligible, [p for _, _, p in draws], errors)
-    _rearranged_rows(geometry, dens, errors, out=pair[1])
-    return pair
+    nodes = _grid_arrays(geometry).nodes
+    dens = np.zeros(geometry.n_points)
+    for w, s in zip(mix, sigmas):
+        dens += w * np.exp(-0.5 * (nodes / s) ** 2) / s
+    theta = interior_permutation(_renormalized(geometry, dens), rng, max_radius=max_radius)
+    return theta, symmetric_decreasing_rearrangement(theta)

@@ -23,14 +23,12 @@ block is stepped.  Policy improvement and the structure witness read one
 greedy pass, which takes the ring minimum of ``_BLOCK_ROWS`` states at one
 gain at once.
 
-``verify_structure``'s randomized probes run in chunks of ``_PROBE_CHUNK``.
-A chunk's random numbers are drawn one probe at a time, in the order a lone
-probe draws them; its relation pairs, rearrangements and rearranged switch
-radii are computed on (probes, points) rows, and its belief steps go through
-the same block dispatch as a tree level, stepped in place.  Each stepped
-probe is then decided by one ``relation_R`` call.  Every margin and verdict
-has the bits of the probe run alone, and the first probe that fails raises
-its error.
+``verify_structure``'s randomized probes run one at a time through the
+public functions: each draws a relation pair with ``random_relation_pair``,
+a threshold rule and a gain, and rewrites the rule with
+``rearranged_action``.  A cost probe is two ``stage_cost`` calls; an order
+probe is two ``propagate`` calls and one ``relation_R`` call.  The first
+probe that fails raises its error.
 
 Depth capping makes the tail nodes approximate: their beliefs are frozen and
 they transmit at full power, so a failure at the cap self-loops.  The solver
@@ -66,9 +64,9 @@ from .belief import (
     _node_distortion,
     _rule_vectors,
     _step_rows,
-    banded_action,
     expected_power,
     gaussian_grid,
+    propagate,
     stage_cost,
     success_prob,
 )
@@ -91,13 +89,7 @@ from .policy import (
     max_power_action,
     threshold_grid,
 )
-from .rearrange import (
-    _draw_relation_pair,
-    _pair_cells,
-    _rearranged_radii,
-    _relation_pair_rows,
-    relation_R,
-)
+from .rearrange import random_relation_pair, rearranged_action, relation_R
 
 STATIONARY_RESIDUAL_TOL = 1e-10
 RHO_CROSSCHECK_TOL = 1e-8
@@ -315,7 +307,7 @@ class _RowSteps:
     """Belief steps of many rows of one array: row parents[k] of `weights`
     under succ[k] and fail[k], written to row targets[k], with k's error or
     None in errors[k].  `targets` is increasing, and no target is the parent
-    of another row (a row may be stepped in place)."""
+    of another row."""
 
     def __init__(
         self,
@@ -356,10 +348,8 @@ def _step_queued(blocks: SimpleQueue) -> None:
         steps.step(block)
 
 
-def _step_in_blocks(
-    steps: _RowSteps, step_blocks=_step_queued, block_rows: int = _BLOCK_ROWS
-) -> list[ValueError | None]:
-    """Run `steps` in blocks of `block_rows` rows, or in half-blocks on the
+def _step_in_blocks(steps: _RowSteps, step_blocks) -> list[ValueError | None]:
+    """Run `steps` in blocks of `_BLOCK_ROWS` rows, or in half-blocks on the
     calling thread and the step worker when the process may use two CPUs
     and there are two half-blocks or more; returns each row's error or None.
 
@@ -368,8 +358,8 @@ def _step_in_blocks(
     less of a CPU steps fewer blocks.
     """
     count = len(steps.targets)
-    pooled = count > block_rows // 2 and _cpu_count() > 1
-    size = block_rows // 2 if pooled else block_rows
+    pooled = count > _BLOCK_ROWS // 2 and _cpu_count() > 1
+    size = _BLOCK_ROWS // 2 if pooled else _BLOCK_ROWS
     blocks = SimpleQueue()
     for lo in range(0, count, size):
         blocks.put((steps, slice(lo, min(lo + size, count))))
@@ -980,107 +970,37 @@ def structure_witness(
     return worst
 
 
-# Probes per chunk.  Each chunk steps its 8 theta and theta_hat rows in
-# half-blocks of 4 on two threads (or one block of 8 on one CPU).  The probe
-# loops run while the checked chain is alive, and what they allocate on top
-# of it sets verify-structure's peak RSS: on the check-canonical operation
-# (2-vCPU Xeon VM, three runs each) that peak read 96.1-96.4 MB one probe at
-# a time, 96.2-96.5 MB with chunks of 4, 96.7-96.8 MB with chunks of 8, and
-# 99-101 MB with chunks of 16; the time per verify-structure changed by less
-# than the runs spread between chunks of 4 and 8.
-_PROBE_CHUNK = _BLOCK_ROWS // 4
+def _probes(
+    chain: UnfoldedChain, rng: np.random.Generator, max_radius: float, count: int
+) -> Iterator[tuple[BeliefGrid, BeliefGrid, ActionFunction, ActionFunction, float]]:
+    """`count` randomized structure probes, drawn one at a time from `rng`.
 
-
-@dataclass
-class _ProbeChunk:
-    """Up to ``_PROBE_CHUNK`` structure probes, row r being probe r: a
-    relation pair (theta in pair[0], its rearrangement theta_hat in
-    pair[1]), a threshold rule with sorted uniform switch radii, the switch
-    radii of its rearranged twin, a channel gain, and the error probe r's
-    generation stopped at, if any.  A twin is expanded only when it is used,
-    one at a time (its pieces take about 160 KB on the canonical grid), and a
-    rule is let go once used."""
-
-    pair: np.ndarray
-    rules: list[ActionFunction | None]
-    twin_radii: np.ndarray
-    gains: list[float]
-    errors: list[ValueError | None]
-
-    @property
-    def theta(self) -> np.ndarray:
-        return self.pair[0]
-
-    @property
-    def theta_hat(self) -> np.ndarray:
-        return self.pair[1]
-
-    def twin(self, r: int, actions: ActionSet, geometry: GridGeometry) -> ActionFunction:
-        """Probe r's rearranged twin, as ``rearranged_action`` makes it."""
-        levels = np.asarray(actions.levels, dtype=float)
-        return banded_action(self.twin_radii[r], levels, actions, geometry)
-
-
-def _probe_chunk(
-    chain: UnfoldedChain, rng: np.random.Generator, eligible: np.ndarray, size: int
-) -> _ProbeChunk:
-    """`size` randomized structure probes whose pairs differ in the cells
-    `eligible`.
-
-    The probes are drawn one at a time from `rng`, in the order
-    ``random_relation_pair``, ``rearranged_action`` and a lone draw would
-    take them: pair, radii, gain.  No draw depends on a computed belief, so
-    the numeric work of the whole chunk is then done on its rows at once.
+    Each is a relation pair (theta, its rearrangement theta_hat) differing
+    inside `max_radius`, a threshold rule with sorted uniform switch radii, its
+    rearranged twin, and a channel gain; the draws go pair, radii, gain.
     """
     problem, geometry = chain.problem, chain.geometry
-    actions = problem.actions
-    L = actions.saturation_radius
-    draws, rules, gains = [], [], []
-    for _ in range(size):
-        draws.append(_draw_relation_pair(geometry, rng, eligible))
-        radii = np.sort(rng.uniform(0.05 * L, 0.95 * L, size=actions.n_levels - 1))
-        rules.append(ThresholdAction(tuple(float(r) for r in radii)).as_action(geometry, actions))
-        gains.append(float(rng.choice(problem.channel.gains)))
-    errors: list[ValueError | None] = [None] * size
-    pair = _relation_pair_rows(geometry, draws, eligible, errors)
-    twin_radii = _rearranged_radii(
-        actions, geometry, [rule.values for rule in rules], pair[0], pair[1], errors
-    )
-    return _ProbeChunk(pair, rules, twin_radii, gains, errors)
-
-
-def _chunk_sizes(count: int) -> Iterator[int]:
-    for lo in range(0, count, _PROBE_CHUNK):
-        yield min(_PROBE_CHUNK, count - lo)
+    L = problem.actions.saturation_radius
+    for _ in range(count):
+        theta, theta_hat = random_relation_pair(geometry, rng, max_radius=max_radius)
+        radii = np.sort(rng.uniform(0.05 * L, 0.95 * L, size=problem.actions.n_levels - 1))
+        action = ThresholdAction(tuple(float(r) for r in radii)).as_action(
+            geometry, problem.actions
+        )
+        gain = float(rng.choice(problem.channel.gains))
+        yield theta, theta_hat, action, rearranged_action(action, theta, theta_hat), gain
 
 
 def _cost_margins(chain: UnfoldedChain, rng: np.random.Generator, count: int) -> list[float]:
     """Stage cost of each probe's rule on theta minus its twin's on
-    theta_hat, for `count` probes differing inside the saturation radius;
-    the first probe that fails raises its error."""
-    eligible = _pair_cells(chain.geometry, chain.problem.actions.saturation_radius)
-    margins: list[float] = []
-    for size in _chunk_sizes(count):
-        margins += _chunk_margins(chain, _probe_chunk(chain, rng, eligible, size))
-    return margins
-
-
-def _chunk_margins(chain: UnfoldedChain, chunk: _ProbeChunk) -> list[float]:
-    problem, geometry = chain.problem, chain.geometry
-    margins = []
-    for r, err in enumerate(chunk.errors):
-        if err is not None:
-            raise err
-        theta = BeliefGrid._view(geometry, chunk.theta[r])
-        theta_hat = BeliefGrid._view(geometry, chunk.theta_hat[r])
-        gain = chunk.gains[r]
-        cost = stage_cost(theta, gain, chunk.rules[r], problem.reception, problem.cost)
-        chunk.rules[r] = None
-        margins.append(cost - stage_cost(
-            theta_hat, gain, chunk.twin(r, problem.actions, geometry), problem.reception,
-            problem.cost,
-        ))
-    return margins
+    theta_hat, for `count` probes differing inside the saturation radius."""
+    problem = chain.problem
+    L = problem.actions.saturation_radius
+    return [
+        stage_cost(theta, gain, action, problem.reception, problem.cost)
+        - stage_cost(theta_hat, gain, twin, problem.reception, problem.cost)
+        for theta, theta_hat, action, twin, gain in _probes(chain, rng, L, count)
+    ]
 
 
 def _order_verdicts(
@@ -1089,61 +1009,20 @@ def _order_verdicts(
     """Whether relation_R still holds between each probe's theta and
     theta_hat after a failed transmission under its rule and its twin, for
     `count` probes differing inside `max_radius`; None for a probe whose
-    step of theta (looked at first) or of theta_hat is degenerate.  The first
-    probe that fails otherwise raises its error."""
-    eligible = _pair_cells(chain.geometry, max_radius)
-    verdicts: list[bool | None] = []
-    for size in _chunk_sizes(count):
-        verdicts += _chunk_verdicts(chain, _probe_chunk(chain, rng, eligible, size))
-    return verdicts
-
-
-def _chunk_verdicts(chain: UnfoldedChain, chunk: _ProbeChunk) -> list[bool | None]:
-    """The chunk's theta and theta_hat rows go through the belief step
-    together, in place, and then relation_R decides each stepped probe in
-    turn."""
-    problem, geometry = chain.problem, chain.geometry
-    reception = problem.reception
-    errors = chunk.errors
-    theta_vectors, twin_vectors = {}, {}
-    for r, err in enumerate(errors):
-        if err is None:
-            try:
-                twin_vectors[r] = _rule_vectors(
-                    chunk.twin(r, problem.actions, geometry), reception, chunk.gains[r]
-                )
-            except ValueError as exc:
-                errors[r] = exc
-                continue
-            theta_vectors[r] = _rule_vectors(chunk.rules[r], reception, chunk.gains[r])
-    # what is no longer needed is let go as soon as it is not, since what the
-    # probes allocate sets verify-structure's peak RSS (see _PROBE_CHUNK)
-    chunk.rules = []
-    made = list(theta_vectors)
-    vectors = [theta_vectors[r] for r in made] + [twin_vectors[r] for r in made]
-    del theta_vectors, twin_vectors
-    rows = np.array(made + [len(errors) + r for r in made], dtype=np.intp)
-    stepped = chunk.pair.reshape(-1, geometry.n_points)
-    step_errors = _step_in_blocks(_RowSteps(
-        geometry, problem.process, stepped, rows,
-        [q for q, _ in vectors], [f for _, f in vectors], rows,
-    ), block_rows=2 * _PROBE_CHUNK)
-    del vectors
-    steps = {r: (step_errors[k], step_errors[len(made) + k]) for k, r in enumerate(made)}
+    step of theta (taken first) or of theta_hat is degenerate."""
+    problem = chain.problem
     L = problem.actions.saturation_radius
     verdicts: list[bool | None] = []
-    for r, err in enumerate(errors):
-        if err is not None:
-            raise err
-        step = next((e for e in steps[r] if e is not None), None)
-        if isinstance(step, DegenerateSuccessError):
+    for theta, theta_hat, action, twin, gain in _probes(chain, rng, max_radius, count):
+        try:
+            theta_next = propagate(theta, gain, action, 0, problem.process, problem.reception)
+            twin_next = propagate(theta_hat, gain, twin, 0, problem.process, problem.reception)
+        except DegenerateSuccessError:
             verdicts.append(None)
             continue
-        if step is not None:
-            raise step
-        theta = BeliefGrid._view(geometry, chunk.theta[r])
-        theta_hat = BeliefGrid._view(geometry, chunk.theta_hat[r])
-        verdicts.append(relation_R(theta, theta_hat, L, majorization_slack=1e-6, tail_tol=1e-7))
+        verdicts.append(
+            relation_R(theta_next, twin_next, L, majorization_slack=1e-6, tail_tol=1e-7)
+        )
     return verdicts
 
 
