@@ -10,6 +10,7 @@ special case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -209,12 +210,22 @@ class PowerPolicy:
     enforce: bool = True
 
     _MODES = ("baseline", "threshold", "tabular")
+    _BASELINES = ("max_power", "constant", "on_off")
 
     def __post_init__(self) -> None:
         if self.mode not in self._MODES:
             raise ValueError(f"mode must be one of {self._MODES}")
-        if self.mode == "baseline" and self.baseline is None:
-            raise ValueError("baseline mode needs a baseline kind")
+        if self.mode != "baseline":
+            return
+        if self.baseline not in self._BASELINES:
+            raise ValueError(f"baseline must be one of {self._BASELINES}, got {self.baseline!r}")
+        param = self.baseline_param
+        if self.baseline != "max_power" and not (
+            isinstance(param, (int, float)) and not isinstance(param, bool) and math.isfinite(param)
+        ):
+            raise ValueError(
+                f"the {self.baseline} baseline needs a finite baseline_param, got {param!r}"
+            )
 
     # -- constructors -------------------------------------------------------
 

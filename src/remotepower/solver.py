@@ -37,6 +37,7 @@ reports tail occupancy so callers can confirm the cap does not matter.
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import warnings
@@ -52,11 +53,13 @@ from scipy.sparse.linalg import spsolve
 
 from .belief import (
     DEGENERATE_SUCCESS_TOL,
+    SUPPORT_OVERFLOW_TOL,
     _BLOCK_ROWS,
     ActionFunction,
     BeliefGrid,
     DegenerateSuccessError,
     GridGeometry,
+    GridGeometryError,
     SupportOverflowError,
     _failure_center,
     _grid_arrays,
@@ -208,12 +211,18 @@ class _HistoryTree:
     thread and a second one when the process may use two CPUs and the level
     has two half-blocks or more.  A child whose step fails stores its error,
     which is raised again for that node and for every node below it; its
-    siblings go on.
+    siblings go on.  The policy must be built on the tree's grid.
     """
 
     def __init__(
         self, problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy, depth: int
     ):
+        own = (policy.geometry.half_width, policy.geometry.n_points)
+        if own != (geometry.half_width, geometry.n_points):
+            raise GridGeometryError(
+                f"policy built on the grid +-{own[0]} with {own[1]} points cannot be read "
+                f"on the grid +-{geometry.half_width} with {geometry.n_points} points"
+            )
         self.problem = problem
         self.geometry = geometry
         self.policy = policy
@@ -796,7 +805,12 @@ def solve(
     converged = False
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        chain = build_chain(problem, geometry, policy, depth)
+        try:
+            chain = build_chain(problem, geometry, policy, depth)
+        except SupportOverflowError as err:
+            if rounds > 1:
+                raise
+            raise _start_overflow(problem, depth, err) from err
         ev = evaluate_policy(chain, problem.cost)
         history.append(ev.rho)
         if best is not None and ev.rho >= best[2].rho - tol_rho:
@@ -824,6 +838,31 @@ def solve(
         converged=converged,
         chain=chain,
         evaluation=ev,
+    )
+
+
+def _start_overflow(
+    problem: ControlProblem, depth: int, err: SupportOverflowError
+) -> SupportOverflowError:
+    """`err`, raised by the chain of solve's max-power start, with its cause
+    and a half width that fits that chain.
+
+    Under max power a miss does not condition the belief, so the belief at
+    level `depth` is Gaussian with variance W * sum_{j=0..depth} a^(2j).  The
+    grid's quadrature lets out about 10% more than the Gaussian tail (at depth
+    7 on the tiny config, +-ceil(z*sd) for a tail of SUPPORT_OVERFLOW_TOL
+    still overflows), so the width named leaves half of that tolerance out.
+    """
+    from statistics import NormalDist
+
+    a2 = problem.process.a ** 2
+    sd = math.sqrt(problem.process.noise_var * sum(a2**j for j in range(depth + 1)))
+    z = NormalDist().inv_cdf(1.0 - SUPPORT_OVERFLOW_TOL / 4.0)
+    return SupportOverflowError(
+        f"{err}; the cause is solve's max-power start, under which a miss does not "
+        f"condition the belief: the depth-{depth} belief is Gaussian with sd {sd:.4g}, "
+        f"and half_width >= {math.ceil(z * sd)} leaves half of the {SUPPORT_OVERFLOW_TOL:g} "
+        "tolerance outside the grid"
     )
 
 

@@ -667,3 +667,23 @@ def test_a_nan_threshold_in_a_stored_policy_is_a_config_error(tmp_path, capsys):
     assert captured.err.startswith("config error: ")
     assert "thresholds must be nonnegative and nondecreasing" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"baseline": "on_off", "baseline_param": None},
+        {"baseline": "bogus", "baseline_param": 2.0, "enforce": False},
+    ],
+)
+def test_malformed_baseline_policies_are_input_errors(tiny_cfg_path, tmp_path, capsys, fields):
+    policy = {"mode": "baseline", "levels": [0.0, 4.0], "saturation_radius": 6.0,
+              "grid": {"half_width": 20.0, "n_points": 401}, "default": None, "states": [],
+              **fields}
+    path = tmp_path / "baseline.json"
+    path.write_text(json.dumps(policy))
+    code = run(["evaluate", tiny_cfg_path, "--policy", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("config error:") and "baseline" in err
+    assert len(err.strip().splitlines()) == 1

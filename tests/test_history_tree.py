@@ -23,6 +23,7 @@ from remotepower import (
     CostWeights,
     FadingChannel,
     GridGeometry,
+    GridGeometryError,
     PowerPolicy,
     ReceptionModel,
     ScalarProcess,
@@ -260,3 +261,17 @@ def test_pooled_fill_equals_serial_fill(case, canon_problem, canon_geometry, can
         assert isinstance(pooled[failing], SupportOverflowError)
         for below in tree.child[failing]:
             assert pooled[below] is pooled[failing]
+
+
+def test_a_policy_on_another_grid_is_refused(tiny_problem, tiny_geometry):
+    # a wider grid would read the policy's node values at the wrong radii, a
+    # finer one would not fit them at all
+    policy = PowerPolicy.uniform(on_off_action(2.0, tiny_problem.actions), tiny_problem.actions,
+                                 tiny_geometry)
+    for other in (dataclasses.replace(tiny_geometry, half_width=25.0),
+                  dataclasses.replace(tiny_geometry, n_points=801)):
+        want = (f"policy built on the grid +-20.0 with 401 points cannot be read on the grid "
+                f"+-{other.half_width} with {other.n_points} points")
+        with pytest.raises(GridGeometryError) as err:
+            build_chain(tiny_problem, other, policy, 3)
+        assert str(err.value) == want

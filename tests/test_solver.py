@@ -470,3 +470,60 @@ def test_greedy_ring_choice_keeps_the_first_of_tied_levels(tiny_geometry):
         assert np.array_equal(choice, np.maximum.accumulate(want))
         chosen.update(choice.tolist())
     assert 1 in chosen and 2 not in chosen
+
+
+@pytest.mark.parametrize("depth, width", [(5, 22), (7, 32), (8, 39)])
+def test_a_first_round_overflow_names_the_start_and_a_width_that_fits(
+    tiny_problem, tiny_geometry, depth, width
+):
+    # under max power every belief is Gaussian: sd 4.24, 6.30 and 7.63 at the cap
+    with pytest.raises(SupportOverflowError) as err:
+        solve(tiny_problem, tiny_geometry, depth=depth)
+    message = str(err.value)
+    assert isinstance(err.value.__cause__, SupportOverflowError)
+    assert message.startswith(str(err.value.__cause__))
+    assert "max-power start" in message
+    assert f"half_width >= {width} leaves half of the 1e-06 tolerance" in message
+
+    def start_chain(half_width):
+        # the tiny grid's spacing, 0.1, on +-half_width
+        wider = GridGeometry(half_width, 20 * half_width + 1, "direct")
+        return build_chain(tiny_problem, wider, PowerPolicy.max_power(tiny_problem.actions,
+                                                                      wider), depth)
+
+    start_chain(width)
+    if depth == 7:
+        # the width whose Gaussian tail is the whole tolerance, 31, does not fit
+        with pytest.raises(SupportOverflowError):
+            start_chain(31)
+
+
+def test_verify_structure_probes_through_the_public_functions(monkeypatch, tiny_geometry):
+    # two gains, a saturation radius with room for the order probes, and no
+    # degenerate step: each of the 2 * samples probes calls each function
+    # once, and each order probe steps its two beliefs
+    import remotepower.solver as solver
+
+    problem = ControlProblem(
+        process=ScalarProcess(a=1.2, noise_var=1.0),
+        channel=FadingChannel(gains=(1.0, 2.0), transition=((0.6, 0.4), (0.3, 0.7))),
+        reception=ReceptionModel(form="exponential", scale=1.0),
+        actions=ActionSet(levels=(0.0, 2.0, 4.0), saturation_radius=10.0),
+        cost=CostWeights(alpha=0.5),
+    )
+    chain = build_chain(problem, tiny_geometry, PowerPolicy.max_power(problem.actions,
+                                                                       tiny_geometry), 1)
+    evaluation = evaluate_policy(chain, problem.cost)
+    calls = {}
+    for name in ("random_relation_pair", "rearranged_action", "propagate"):
+        real = getattr(solver, name)
+
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, counting)
+    samples = 12
+    rows = verify_structure(chain, evaluation, samples=samples, seed=5)
+    assert rows[3] == ("belief order survives a failed transmission", True, f"{samples} probes")
+    assert calls == {name: 2 * samples for name in calls} and len(calls) == 3
