@@ -334,7 +334,7 @@ class _RowSteps:
 
     def step(self, block: slice) -> None:
         """Step the rows of one block; a block whose targets are one run of
-        rows is written in place."""
+        rows is written straight into `weights`."""
         rows = self.targets[block]
         lo, hi = int(rows[0]), int(rows[-1]) + 1
         contiguous = hi - lo == len(rows)
