@@ -43,8 +43,8 @@ thread keeps per grid.  Cached arrays are read-only;
 
 There is one belief step after a miss, and it takes many rows at once as
 (rows, points) arrays: the failure-history tree sends every child of a tree
-level through it, in blocks of ``_BLOCK_ROWS`` rows on one thread or of half
-that on two, and ``propagate`` and ``post_failure`` are its one-row cases
+level through it, in blocks of ``_BLOCK_ROWS`` rows on one thread or two, and
+``propagate`` and ``post_failure`` are its one-row cases
 (``verify_structure``'s order probes step each belief with ``propagate``).
 It conditions the block on the miss and renormalizes it with elementwise
 operations and one dot product per row, takes the row cumulative sums, pulls
@@ -81,14 +81,12 @@ GAUSSIAN_TAIL_TOL = 1e-8
 SUPPORT_OVERFLOW_TOL = 1e-6
 DEGENERATE_SUCCESS_TOL = 1e-12
 
-# Rows per block of the batched belief step.  Filling the canonical depth-8
-# tree (frozen policy, 4001-point grid, 2-vCPU Xeon VM) took a median 0.43,
-# 0.40, 0.38 and 0.39 ms a row in blocks of 4, 8, 16 and 32 rows on one
-# thread, and 0.42, 0.29, 0.26 and 0.28 ms on two threads.  One thread steps
-# blocks of 16 rows; two threads step half-blocks of 8, which keep the 16
-# rows in flight, and the memory, of one serial block (about 2.5 MB of
-# temporaries per 8 rows), for a little more time per row than blocks of 16.
-_BLOCK_ROWS = 16
+# Rows per block of the batched belief step, on one thread or two.  Each
+# stepping thread holds about 2.3 MB of FFT buffers for 8 rows on the
+# 4001-point grid.  Filling the canonical depth-8 tree (frozen policy, 2-vCPU
+# Xeon VM) on one CPU took a median 354 and 317 us a row in blocks of 8, in
+# two runs of 30 alternating fills, against 374 and 330 us in blocks of 16.
+_BLOCK_ROWS = 8
 
 
 class GridGeometryError(ValueError):
@@ -637,7 +635,8 @@ def _step_rows(
     """The belief step after a miss for every row of `parents` (one geometry,
     each row under its own per-cell success and failure vectors), written to
     the same rows of `out`.  Returns each row's error or None; a row that
-    fails leaves its row of `out` undefined and the others go on."""
+    fails is still written, finite when its parent row is (zeros when
+    degenerate), and the others go on."""
     n = geometry.n_points
     grid = _grid_arrays(geometry)
     errors: list[ValueError | None] = [None] * len(parents)

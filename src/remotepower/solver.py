@@ -12,14 +12,14 @@ level at a time on demand: the chain build reads every node of it, and the
 Monte Carlo simulator reads the nodes a rollout visits (asking for a node
 fills its whole level).  Only the tree knows its shape; both readers walk its
 integer node ids.  The tree keeps its beliefs as the rows of one
-(nodes, points) array.  A level goes through the batched belief step in
-blocks of ``belief._BLOCK_ROWS`` rows; when the process may use two CPUs,
-the calling thread and a worker thread, kept for the life of the process,
-each take the next half-block whenever they finish one, so as many rows are
-in flight as in one serial block, and write its rows straight into the
-tree's array.  Each distinct threshold rule is expanded once per tree, and
-rules and their success vectors are made on the calling thread before any
-block is stepped.  Policy improvement and the structure witness read one
+(nodes, points) array and steps each level itself: a level's nodes are one
+run of rows, which go through the batched belief step straight into the
+array in blocks of ``belief._BLOCK_ROWS`` rows taken off one queue.  When
+the process may use two CPUs and the level has more than one block, a
+worker thread, kept for the life of the process, takes blocks beside the
+calling thread.  Each distinct threshold rule is expanded once per tree,
+and rules and their success vectors are made on the calling thread before
+any block is stepped.  Policy improvement and the structure witness read one
 greedy pass, which takes the ring minimum of ``_BLOCK_ROWS`` states at one
 gain at once.
 
@@ -206,12 +206,14 @@ class _HistoryTree:
     is the policy's rule, or full power at the cap; each distinct threshold
     rule is expanded once and shared.  Asking for a belief fills every level
     down to the node's; beliefs are the rows of one (nodes, points) array
-    the tree owns, handed out as views.  A level goes through the belief step
-    in blocks of ``_BLOCK_ROWS`` rows, or in half-blocks on the calling
-    thread and a second one when the process may use two CPUs and the level
-    has two half-blocks or more.  A child whose step fails stores its error,
-    which is raised again for that node and for every node below it; its
-    siblings go on.  The policy must be built on the tree's grid.
+    the tree owns, handed out as views.  A level's nodes are one run of rows,
+    stepped from their parents' rows in blocks of ``_BLOCK_ROWS`` rows by the
+    calling thread and, when the process may use two CPUs and the level has
+    more than one block, by the step worker too.  A child whose step fails
+    stores its error, which is raised again for that node and for every node
+    below it; its siblings go on.  A failed node's children are stepped with
+    the rest and then take its error.  The policy must be built on the
+    tree's grid.
     """
 
     def __init__(
@@ -279,18 +281,12 @@ class _HistoryTree:
     def _fill_next_level(self) -> None:
         G, gains = self.n_gains, self.problem.channel.gains
         n = self._filled
-        # nodes n .. G * n are the children of nodes (n - 1) // G .. n - 1, in order
-        live = []
-        for c in range(n, G * n + 1):
-            err = self._errors.get((c - 1) // G)
-            if err is None:
-                live.append(c)
-            else:
-                self._errors[c] = err
-        # rules and their success vectors are made here, so the workers only read
+        # nodes n .. G * n are the children of nodes (n - 1) // G .. n - 1, in
+        # order; rules and their success vectors are made here, so the steps
+        # only read
         vectors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         succ, fail = [], []
-        for c in live:
+        for c in range(n, G * n + 1):
             parent, g = divmod(c - 1, G)
             action = self.action_at(parent, g)
             key = (id(action), g)
@@ -298,87 +294,39 @@ class _HistoryTree:
                 vectors[key] = _rule_vectors(action, self.problem.reception, gains[g])
             succ.append(vectors[key][0])
             fail.append(vectors[key][1])
-        children = np.array(live, dtype=np.intp)
-        steps = _RowSteps(
-            self.geometry, self.problem.process, self._weights, (children - 1) // G,
-            succ, fail, children,
-        )
-        errors = _step_in_blocks(steps, self._step_blocks)
-        self._errors.update((int(c), err) for c, err in zip(children, errors) if err is not None)
+        blocks = SimpleQueue()
+        for lo in range(0, len(succ), _BLOCK_ROWS):
+            blocks.put((n + lo, succ[lo : lo + _BLOCK_ROWS], fail[lo : lo + _BLOCK_ROWS]))
+        if len(succ) > _BLOCK_ROWS and _cpu_count() > 1:
+            other = _step_worker().submit(self._step_blocks, blocks)
+            self._step_blocks(blocks)
+            other.result()
+        else:
+            self._step_blocks(blocks)
+        # a failed node's row is finite, so its children were stepped with the rest
+        for c in range(n, G * n + 1):
+            err = self._errors.get((c - 1) // G)
+            if err is not None:
+                self._errors[c] = err
         self._filled = G * n + 1
 
     def _step_blocks(self, blocks: SimpleQueue) -> None:
-        """Step the level's blocks off the queue until it is empty."""
-        _step_queued(blocks)
-
-
-class _RowSteps:
-    """Belief steps of many rows of one array: row parents[k] of `weights`
-    under succ[k] and fail[k], written to row targets[k], with k's error or
-    None in errors[k].  `targets` is increasing, and no target is the parent
-    of another row."""
-
-    def __init__(
-        self,
-        geometry: GridGeometry,
-        process,
-        weights: np.ndarray,
-        parents: np.ndarray,
-        succ: list[np.ndarray],
-        fail: list[np.ndarray],
-        targets: np.ndarray,
-    ):
-        self.geometry, self.process, self.weights = geometry, process, weights
-        self.parents, self.succ, self.fail, self.targets = parents, succ, fail, targets
-        self.errors: list[ValueError | None] = [None] * len(targets)
-
-    def step(self, block: slice) -> None:
-        """Step the rows of one block; a block whose targets are one run of
-        rows is written straight into `weights`."""
-        rows = self.targets[block]
-        lo, hi = int(rows[0]), int(rows[-1]) + 1
-        contiguous = hi - lo == len(rows)
-        out = self.weights[lo:hi] if contiguous else np.empty((len(rows), self.weights.shape[1]))
-        self.errors[block] = _step_rows(
-            self.geometry, self.process, self.weights[self.parents[block]],
-            self.succ[block], self.fail[block], out,
-        )
-        if not contiguous:
-            self.weights[rows] = out
-
-
-def _step_queued(blocks: SimpleQueue) -> None:
-    """Step (steps, block) pairs off the queue until it is empty."""
-    while True:
-        try:
-            steps, block = blocks.get_nowait()
-        except Empty:
-            return
-        steps.step(block)
-
-
-def _step_in_blocks(steps: _RowSteps, step_blocks) -> list[ValueError | None]:
-    """Run `steps` in blocks of `_BLOCK_ROWS` rows, or in half-blocks on the
-    calling thread and the step worker when the process may use two CPUs
-    and there are two half-blocks or more; returns each row's error or None.
-
-    `step_blocks` drains the queue of blocks on each thread.  Each thread
-    takes the next block when it is done with one, so a thread that gets
-    less of a CPU steps fewer blocks.
-    """
-    count = len(steps.targets)
-    pooled = count > _BLOCK_ROWS // 2 and _cpu_count() > 1
-    size = _BLOCK_ROWS // 2 if pooled else _BLOCK_ROWS
-    blocks = SimpleQueue()
-    for lo in range(0, count, size):
-        blocks.put((steps, slice(lo, min(lo + size, count))))
-    if pooled:
-        other = _step_worker().submit(step_blocks, blocks)
-        step_blocks(blocks)
-        other.result()
-    else:
-        step_blocks(blocks)
-    return steps.errors
+        """Step the level's blocks off the queue until it is empty, each
+        block's rows straight into the tree's array.  A thread takes the next
+        block when it is done with one, so a thread that gets less of a CPU
+        steps fewer blocks."""
+        while True:
+            try:
+                lo, succ, fail = blocks.get_nowait()
+            except Empty:
+                return
+            hi = lo + len(succ)
+            errors = _step_rows(
+                self.geometry, self.problem.process,
+                self._weights[(np.arange(lo, hi) - 1) // self.n_gains], succ, fail,
+                self._weights[lo:hi],
+            )
+            self._errors.update({lo + r: err for r, err in enumerate(errors) if err is not None})
 
 
 def build_chain(
@@ -844,8 +792,9 @@ def solve(
 def _start_overflow(
     problem: ControlProblem, depth: int, err: SupportOverflowError
 ) -> SupportOverflowError:
-    """`err`, raised by the chain of solve's max-power start, with its cause
-    and a half width that fits that chain.
+    """`err`, raised by the chain of the max-power start that `solve` and
+    `solve_discounted` share, with its cause and a half width that fits that
+    chain.
 
     Under max power a miss does not condition the belief, so the belief at
     level `depth` is Gaussian with variance W * sum_{j=0..depth} a^(2j).  The
@@ -859,7 +808,7 @@ def _start_overflow(
     sd = math.sqrt(problem.process.noise_var * sum(a2**j for j in range(depth + 1)))
     z = NormalDist().inv_cdf(1.0 - SUPPORT_OVERFLOW_TOL / 4.0)
     return SupportOverflowError(
-        f"{err}; the cause is solve's max-power start, under which a miss does not "
+        f"{err}; the cause is the solver's max-power start, under which a miss does not "
         f"condition the belief: the depth-{depth} belief is Gaussian with sd {sd:.4g}, "
         f"and half_width >= {math.ceil(z * sd)} leaves half of the {SUPPORT_OVERFLOW_TOL:g} "
         "tolerance outside the grid"
@@ -927,7 +876,12 @@ def solve_discounted(
     rounds = 0
     seen: set[tuple] = set()
     for rounds in range(1, max_rounds + 1):
-        chain = build_chain(problem, geometry, policy, depth)
+        try:
+            chain = build_chain(problem, geometry, policy, depth)
+        except SupportOverflowError as err:
+            if rounds > 1:
+                raise
+            raise _start_overflow(problem, depth, err) from err
         values = discounted_policy_values(chain, problem.cost, beta)
         signature = _rules_signature(policy)
         if signature in seen:

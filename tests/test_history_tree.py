@@ -7,11 +7,13 @@ bit for bit, and a step that fails must fail for its own node only.
 """
 
 import dataclasses
+import itertools
 import json
 import logging
 import os
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from remotepower import (
     ActionSet,
     ControlProblem,
     CostWeights,
+    DegenerateSuccessError,
     FadingChannel,
     GridGeometry,
     GridGeometryError,
@@ -261,6 +264,31 @@ def test_pooled_fill_equals_serial_fill(case, canon_problem, canon_geometry, can
         assert isinstance(pooled[failing], SupportOverflowError)
         for below in tree.child[failing]:
             assert pooled[below] is pooled[failing]
+
+
+@pytest.mark.parametrize("case", ["overflow-depth-7", "degenerate-depth-5"])
+def test_every_node_below_a_failed_node_raises_its_error(case, monkeypatch):
+    problem, geometry, policy = lopsided_two_gain_case()
+    depth, failing, error = 7, [(0,) * 5], SupportOverflowError
+    if case == "degenerate-depth-5":
+        # full power always gets through, so both level-1 nodes are degenerate;
+        # levels 4 and 5 have more than one block of rows
+        problem = dataclasses.replace(
+            problem, reception=ReceptionModel(form="on_off", on_level=4.0, on_prob=1.0)
+        )
+        policy = PowerPolicy.max_power(problem.actions, geometry)
+        depth, failing, error = 5, [(0,), (1,)], DegenerateSuccessError
+    tree = _HistoryTree(problem, geometry, policy, depth)
+    for cpus in (1, 2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, stepped_on = filled_tree(problem, geometry, policy, depth, monkeypatch, cpus)
+        assert len(stepped_on) == cpus
+        for node in failing:
+            failed = got[tree.node_index[node]]
+            assert isinstance(failed, error)
+            for g, h in itertools.product(range(tree.n_gains), repeat=2):
+                assert got[tree.node_index[node + (g, h)]] is failed
 
 
 def test_a_policy_on_another_grid_is_refused(tiny_problem, tiny_geometry):

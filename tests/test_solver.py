@@ -498,6 +498,17 @@ def test_a_first_round_overflow_names_the_start_and_a_width_that_fits(
             start_chain(31)
 
 
+def test_a_discounted_first_round_overflow_names_the_start_too(tiny_problem, tiny_geometry):
+    # solve_discounted starts from max power as solve does
+    with pytest.raises(SupportOverflowError) as err:
+        solve_discounted(tiny_problem, tiny_geometry, 0.9, depth=5)
+    message = str(err.value)
+    assert isinstance(err.value.__cause__, SupportOverflowError)
+    assert message.startswith(str(err.value.__cause__))
+    assert "max-power start" in message
+    assert "half_width >= 22 leaves half of the 1e-06 tolerance" in message
+
+
 def test_verify_structure_probes_through_the_public_functions(monkeypatch, tiny_geometry):
     # two gains, a saturation radius with room for the order probes, and no
     # degenerate step: each of the 2 * samples probes calls each function
