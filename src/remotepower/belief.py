@@ -359,17 +359,11 @@ def variance(belief: BeliefGrid) -> float:
 
 def outward_mass(belief: BeliefGrid, radius: float) -> float:
     """Mass of {|e| >= radius}, with the density constant on each cell."""
-    return float(belief.weights @ _outward_lengths(belief.geometry, radius))
-
-
-def _outward_lengths(geometry: GridGeometry, radius: float) -> np.ndarray:
-    """Length of each cell inside {|e| >= radius}: a belief's dot product
-    with it is its outward mass."""
-    grid = _grid_arrays(geometry)
+    grid = _grid_arrays(belief.geometry)
     lo, hi = grid.cell_lo, grid.cell_hi
     pos = np.maximum(0.0, hi - np.maximum(lo, radius))
     neg = np.maximum(0.0, np.minimum(hi, -radius) - lo)
-    return pos + neg
+    return float(belief.weights @ (pos + neg))
 
 
 # ---------------------------------------------------------------------------

@@ -187,9 +187,7 @@ def build_problem(cfg: dict) -> ControlProblem:
     return ControlProblem(process, channel, reception, actions, cost)
 
 
-def default_geometry(
-    problem: ControlProblem, n_points: int = 2001, convolution: str = "direct"
-) -> GridGeometry:
+def default_geometry(problem: ControlProblem, n_points: int, convolution: str) -> GridGeometry:
     """Grid wide enough for the worst sustained failure run: half width
     30 * sqrt(W / (1 - q(u_max, h_min))), i.e. wider the likelier failures."""
     q_min = float(

@@ -8,7 +8,7 @@ raising so the CLI can print diagnostics and pick an exit code.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -190,9 +190,6 @@ class ValidationReport:
     ok: bool
     checks: dict[str, bool] = field(default_factory=dict)
     messages: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def validate_channel(channel: FadingChannel) -> ValidationReport:

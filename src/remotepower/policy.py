@@ -23,7 +23,6 @@ from .belief import (
     _check_radii,
     _grid_arrays,
     banded_action,
-    constant_action,
 )
 from .model import ActionSet
 from .rearrange import rearranged_action, symmetric_decreasing_rearrangement

@@ -126,11 +126,12 @@ def _dx_reach(geometry: GridGeometry) -> tuple[np.ndarray, np.ndarray]:
     return sums, index
 
 
-def is_even_unimodal(belief: BeliefGrid, tol: float = UNIMODAL_WIGGLE_TOL) -> bool:
+def is_even_unimodal(belief: BeliefGrid) -> bool:
     """True if the density is symmetric about zero and nonincreasing outward,
-    up to quadrature wiggle of size tol."""
+    up to quadrature wiggle of size UNIMODAL_WIGGLE_TOL."""
     w = belief.weights
     m = belief.n_points // 2
+    tol = UNIMODAL_WIGGLE_TOL
     return float(np.max(np.abs(w - w[::-1]))) <= tol and bool(np.all(np.diff(w[m:]) <= tol))
 
 
@@ -166,19 +167,19 @@ def relation_R(
     *,
     majorization_slack: float = MAJORIZATION_SLACK,
     tail_tol: float = TAIL_MATCH_TOL,
-    unimodal_tol: float = UNIMODAL_WIGGLE_TOL,
 ) -> bool:
     """Partial order on beliefs used by the threshold-structure argument.
 
-    Holds when theta_star is even and unimodal about zero, majorizes theta,
-    and the two densities agree pointwise wherever |e| exceeds the saturation
-    radius.  The clauses are decided in that order and each only if the ones
-    before it hold, so neither belief is rearranged unless theta_star is even
-    and unimodal; a rearrangement error is raised, theta_star's first.
+    Holds when theta_star is even and unimodal about zero (up to
+    UNIMODAL_WIGGLE_TOL), majorizes theta, and the two densities agree
+    pointwise wherever |e| exceeds the saturation radius.  The clauses are
+    decided in that order and each only if the ones before it hold, so
+    neither belief is rearranged unless theta_star is even and unimodal; a
+    rearrangement error is raised, theta_star's first.
     """
     if theta.geometry != theta_star.geometry:
         raise ValueError("relation_R needs both beliefs on the same grid")
-    if not (is_even_unimodal(theta_star, unimodal_tol)
+    if not (is_even_unimodal(theta_star)
             and majorizes(theta_star, theta, majorization_slack)):
         return False
     outside = np.abs(theta.nodes) > saturation_radius
@@ -217,9 +218,8 @@ def _outward_quantiles(geometry: GridGeometry, masses: np.ndarray, targets) -> n
             radii[k] = boundaries[-1]
         elif outward[i] <= target:
             radii[k] = boundaries[i]
-        elif outward[i] - outward[i + 1] <= 0.0:
-            radii[k] = boundaries[i + 1]
         else:
+            # cell masses are nonnegative, so outward[i] > target > outward[i + 1]
             frac = (outward[i] - target) / (outward[i] - outward[i + 1])
             radii[k] = boundaries[i] + frac * (boundaries[i + 1] - boundaries[i])
     return radii
@@ -257,10 +257,9 @@ def rearranged_action(
 
 
 def interior_permutation(
-    belief: BeliefGrid, rng: np.random.Generator, max_radius: float | None = None
+    belief: BeliefGrid, rng: np.random.Generator, max_radius: float
 ) -> BeliefGrid:
-    """Shuffle the density values of interior cells, optionally only inside
-    max_radius.
+    """Shuffle the density values of the interior cells inside max_radius.
 
     Interior cells share one width, so permuting their values changes nothing
     the rearrangement can see: the shuffled belief and the original have the
@@ -270,8 +269,7 @@ def interior_permutation(
     only the normalization can come out differently, so only it is made.
     """
     eligible = np.arange(1, belief.n_points - 1)
-    if max_radius is not None:
-        eligible = eligible[np.abs(belief.nodes[eligible]) < max_radius]
+    eligible = eligible[np.abs(belief.nodes[eligible]) < max_radius]
     w = belief.weights.copy()
     w[eligible] = w[rng.permutation(eligible)]
     errors: list[ValueError | None] = [None]

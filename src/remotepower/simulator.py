@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -179,18 +180,6 @@ def simulate(
     next_gain = [np.minimum(np.searchsorted(row, u_chan, side="right"), G - 1).tolist()
                  for row in np.cumsum(np.asarray(channel.transition), axis=1)]
 
-    trace_file = None
-    writer = None
-    if trace_path is not None:
-        trace_file = open(trace_path, "w", newline="")
-        for line in trace_comment or ():
-            trace_file.write(f"# {line}\n")
-        writer = csv.writer(trace_file)
-        writer.writerow(
-            ["k", "x", "x_hat_closed", "x_hat_belief", "e", "u", "h",
-             "gamma", "power_cost", "error_cost"]
-        )
-
     alpha = problem.cost.alpha
     i = 0
     g = channel.initial_gain_index
@@ -212,68 +201,77 @@ def simulate(
     win_err = 0.0
     win_count = 0
 
-    for k in range(1, horizon + 1):
-        gain_counts[g] += 1
-        if i >= n_inner:
-            tail_steps += 1
-        values, q_node, inn_mean, center, fail_child = rows[i * G + g] or memo.fill(i * G + g)
-        idx = int((e + E) / dx + 0.5)
-        if idx < 0:
-            idx = 0
-        elif idx >= n_pts:
-            idx = n_pts - 1
-        u = float(values[idx])
-        q = float(q_node[idx])
-        received = u_rec[k] < q
-
-        if centred and abs(inn_mean) > max_gap:
-            max_gap = abs(inn_mean)
-
-        if i == 0:
-            root_att[g] += 1
-            if received:
-                root_suc[g] += 1
-
-        err_term = 0.0 if received else (e - center) ** 2
-        cost_sum += alpha * u + err_term
-        power_sum += u
-        error_sum += err_term
-        win_err += err_term
-        win_count += 1
-        if win_count == window:
-            windows.append(win_err / window)
-            win_err = 0.0
-            win_count = 0
-
-        if writer is not None:
-            if received:
-                x_hat_closed = x
-                x_hat_belief = x
-            else:
-                x_hat_closed = estimate_closed_form(process, x_last, steps_since)
-                x_hat_belief = estimate_belief_mean(process, x_last, steps_since, inn_mean)
+    trace = open(trace_path, "w", newline="") if trace_path is not None else nullcontext()
+    with trace as trace_file:
+        writer = None
+        if trace_file is not None:
+            for line in trace_comment or ():
+                trace_file.write(f"# {line}\n")
+            writer = csv.writer(trace_file)
             writer.writerow(
-                [k, repr(x), repr(x_hat_closed), repr(x_hat_belief), repr(e),
-                 repr(u), repr(channel.gains[g]), int(received),
-                 repr(alpha * u), repr(err_term)]
+                ["k", "x", "x_hat_closed", "x_hat_belief", "e", "u", "h",
+                 "gamma", "power_cost", "error_cost"]
             )
 
-        if received:
-            successes += 1
-            x_last = x
-            i = 0
-            steps_since = 1
-            e = float(w[k])
-        else:
-            i = fail_child
-            steps_since += 1
-            e = process.a * e + float(w[k])
-        if writer is not None:
-            x = process.a * x + float(w[k])
-        g = next_gain[g][k]
+        for k in range(1, horizon + 1):
+            gain_counts[g] += 1
+            if i >= n_inner:
+                tail_steps += 1
+            values, q_node, inn_mean, center, fail_child = rows[i * G + g] or memo.fill(i * G + g)
+            idx = int((e + E) / dx + 0.5)
+            if idx < 0:
+                idx = 0
+            elif idx >= n_pts:
+                idx = n_pts - 1
+            u = float(values[idx])
+            q = float(q_node[idx])
+            received = u_rec[k] < q
 
-    if trace_file is not None:
-        trace_file.close()
+            if centred and abs(inn_mean) > max_gap:
+                max_gap = abs(inn_mean)
+
+            if i == 0:
+                root_att[g] += 1
+                if received:
+                    root_suc[g] += 1
+
+            err_term = 0.0 if received else (e - center) ** 2
+            cost_sum += alpha * u + err_term
+            power_sum += u
+            error_sum += err_term
+            win_err += err_term
+            win_count += 1
+            if win_count == window:
+                windows.append(win_err / window)
+                win_err = 0.0
+                win_count = 0
+
+            if writer is not None:
+                if received:
+                    x_hat_closed = x
+                    x_hat_belief = x
+                else:
+                    x_hat_closed = estimate_closed_form(process, x_last, steps_since)
+                    x_hat_belief = estimate_belief_mean(process, x_last, steps_since, inn_mean)
+                writer.writerow(
+                    [k, repr(x), repr(x_hat_closed), repr(x_hat_belief), repr(e),
+                     repr(u), repr(channel.gains[g]), int(received),
+                     repr(alpha * u), repr(err_term)]
+                )
+
+            if received:
+                successes += 1
+                x_last = x
+                i = 0
+                steps_since = 1
+                e = float(w[k])
+            else:
+                i = fail_child
+                steps_since += 1
+                e = process.a * e + float(w[k])
+            if writer is not None:
+                x = process.a * x + float(w[k])
+            g = next_gain[g][k]
 
     return TrajectoryMetrics(
         horizon=horizon,

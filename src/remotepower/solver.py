@@ -67,7 +67,6 @@ from .belief import (
     _node_distortion,
     _rule_vectors,
     _step_rows,
-    expected_power,
     gaussian_grid,
     propagate,
     stage_cost,
@@ -133,7 +132,6 @@ class UnfoldedChain:
     tail_mask: np.ndarray
     virtual_mask: np.ndarray
 
-    root_index = 0
     ref_state = 0
 
     @property
@@ -289,6 +287,7 @@ class _HistoryTree:
         for c in range(n, G * n + 1):
             parent, g = divmod(c - 1, G)
             action = self.action_at(parent, g)
+            # an id() names one action only while it lives; _actions keeps each alive
             key = (id(action), g)
             if key not in vectors:
                 vectors[key] = _rule_vectors(action, self.problem.reception, gains[g])
@@ -338,8 +337,9 @@ def build_chain(
     depth) so state indices are stable across policies; rules and beliefs are
     read from the policy's failure-history tree.  Edges whose failure
     probability is below DEGENERATE_SUCCESS_TOL are treated as certain
-    successes: the sliver of failure mass moves to the success edge and the
-    orphaned subtree is marked virtual.
+    successes: the sliver of failure mass moves to the success edge, and the
+    orphaned subtree, whose beliefs the tree refuses with
+    DegenerateSuccessError, is marked virtual.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -366,13 +366,14 @@ def build_chain(
     distortion = np.empty(S)
 
     for i in range(n_nodes):
-        if i and not virtual[i]:
-            try:
-                beliefs[i] = tree.belief_at(i)
-            except SupportOverflowError as err:
-                raise SupportOverflowError(
-                    f"belief after failure history {nodes[i]} overflowed: {err}"
-                ) from err
+        try:
+            beliefs[i] = tree.belief_at(i)
+        except DegenerateSuccessError:
+            virtual[i] = True
+        except SupportOverflowError as err:
+            raise SupportOverflowError(
+                f"belief after failure history {nodes[i]} overflowed: {err}"
+            ) from err
         masses = beliefs[i].cell_masses()
         for g, gain in enumerate(channel.gains):
             s = i * G + g
@@ -380,8 +381,6 @@ def build_chain(
             phi[s], power[s], distortion[s] = _node_rule_terms(
                 masses, beliefs[i].nodes, actions[s].values, q
             )
-            if not tail[i] and (virtual[i] or 1.0 - phi[s] < DEGENERATE_SUCCESS_TOL):
-                virtual[child[i, g]] = True
 
     # per state: the success edges to the root, then the failure edges to the
     # child, one per gain transition of positive probability
@@ -635,14 +634,15 @@ def _grid_scan_state(
     """
     problem = chain.problem
     n_switch = problem.actions.n_levels - 1
+    masses = belief.cell_masses()
     best = None
     for combo in combinations_with_replacement(np.sort(grid), n_switch):
         rule = ThresholdAction(tuple(float(t) for t in combo))
         action = rule.as_action(chain.geometry, problem.actions)
-        q_val = stage_cost(belief, gain, action, problem.reception, weights)
-        phi = success_prob(belief, gain, action, problem.reception)
-        q_val += (1.0 - phi) * cont_gap
-        key = (q_val, expected_power(belief, action), combo)
+        phi, power, distortion = _node_rule_terms(
+            masses, belief.nodes, action.values, _level_success(action, problem.reception, gain)
+        )
+        key = (weights.alpha * power + distortion + (1.0 - phi) * cont_gap, power, combo)
         if best is None or key < best[0]:
             best = (key, rule)
     return best[1]

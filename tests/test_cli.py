@@ -13,6 +13,7 @@ import remotepower.simulator as simulator
 from conftest import TINY_CONFIG
 from remotepower import (
     DEFAULT_CONFIG,
+    ConfigError,
     PowerPolicy,
     build_geometry,
     build_problem,
@@ -200,6 +201,7 @@ def _assert_one_line_input_error(code, capsys):
     assert code == 3
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1
+    return err
 
 
 @pytest.mark.parametrize(
@@ -687,3 +689,45 @@ def test_malformed_baseline_policies_are_input_errors(tiny_cfg_path, tmp_path, c
     assert code == 3
     assert err.startswith("config error:") and "baseline" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_a_null_half_width_is_worked_out_from_the_model(tmp_path, capsys):
+    path = _tiny_config_with(tmp_path, "grid", {"half_width": None, "n_points": 2001})
+    assert run(["solve", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    # 30 * sqrt(W / (1 - q(u_max, h_min))) with W = 1 and q = 1 - exp(-4)
+    assert payload["config"]["grid"]["half_width"] == 221.67168296791928
+    with pytest.raises(ConfigError, match="grid.half_width: null requires the model sections"):
+        build_geometry(load_config(path))
+
+
+def test_solve_into_a_missing_directory_is_an_io_error(tiny_cfg_path, tmp_path, capsys):
+    code = run(["solve", tiny_cfg_path, "-o", str(tmp_path / "absent" / "out.json")])
+    assert _assert_one_line_input_error(code, capsys).startswith("i/o error: ")
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("missing", "cannot read policy file"),
+        ("malformed", "malformed JSON in"),
+        ("other grid", "does not match the config: policy grid does not match the configured grid"),
+        ("other saturation radius", "policy saturation radius does not match the configuration"),
+    ],
+)
+def test_unreadable_or_mismatched_policy_files_are_config_errors(
+    tiny_cfg_path, tmp_path, solved, capsys, case, expected
+):
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"policy": ')
+    paths = {
+        "missing": lambda: str(tmp_path / "nope.json"),
+        "malformed": lambda: str(broken),
+        "other grid": lambda: _edited_policy(
+            solved, tmp_path, lambda p: p["grid"].update(n_points=201)),
+        "other saturation radius": lambda: _edited_policy(
+            solved, tmp_path, lambda p: p.update(saturation_radius=5.0)),
+    }
+    code = run(["evaluate", tiny_cfg_path, "--policy", paths[case]()])
+    err = _assert_one_line_input_error(code, capsys)
+    assert err.startswith("config error: ") and expected in err

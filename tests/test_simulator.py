@@ -1,5 +1,6 @@
 """Rollout mechanics: seeding, estimators, traces, and agreement with the chain."""
 
+import builtins
 import csv
 import logging
 import math
@@ -11,6 +12,7 @@ import pytest
 
 from remotepower import (
     GridGeometry,
+    PolicyDomainError,
     PowerPolicy,
     ScalarProcess,
     build_chain,
@@ -19,6 +21,7 @@ from remotepower import (
     estimate_closed_form,
     evaluate_policy,
     gaussian_grid,
+    on_off_action,
     replicate,
     simulate,
     success_prob,
@@ -289,3 +292,25 @@ def test_forked_replication_processes_start_their_own_step_worker(tiny_geometry,
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
     pooled = replicate(problem, tiny_geometry, policy, 2, 2000, 5, threads=2, **kwargs)
     assert pooled.to_dict() == alone.to_dict()
+
+
+def test_trace_file_is_closed_when_the_rollout_raises(tiny_problem, tiny_geometry, tmp_path,
+                                                     monkeypatch):
+    # the policy covers only the root, so the first miss leaves its domain
+    rules = {((), 0): on_off_action(1.0, tiny_problem.actions)}
+    policy = PowerPolicy.from_rules(rules, tiny_problem.actions, tiny_geometry)
+    path = tmp_path / "trace.csv"
+    opened = []
+    real_open = builtins.open
+
+    def spy(*args, **kwargs):
+        f = real_open(*args, **kwargs)
+        opened.append(f)
+        return f
+
+    monkeypatch.setattr(builtins, "open", spy)
+    with pytest.raises(PolicyDomainError):
+        simulate(tiny_problem, tiny_geometry, policy, "closed_form", 1000, 17, depth=3,
+                 trace_path=str(path))
+    traces = [f for f in opened if f.name == str(path)]
+    assert len(traces) == 1 and traces[0].closed

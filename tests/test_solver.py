@@ -42,7 +42,14 @@ from remotepower import (
     variance,
     verify_structure,
 )
-from remotepower.solver import _greedy_states, _reachable_states, _success_table
+from remotepower.solver import (
+    CENTER_SNAP_TOL,
+    _greedy_states,
+    _improve_state_tabular,
+    _reachable_states,
+    _rules_signature,
+    _success_table,
+)
 
 
 def certain_reception_problem(alpha=0.5):
@@ -538,3 +545,37 @@ def test_verify_structure_probes_through_the_public_functions(monkeypatch, tiny_
     rows = verify_structure(chain, evaluation, samples=samples, seed=5)
     assert rows[3] == ("belief order survives a failed transmission", True, f"{samples} probes")
     assert calls == {name: 2 * samples for name in calls} and len(calls) == 3
+
+
+def test_an_off_centre_greedy_rule_becomes_tabular(tiny_problem, tiny_geometry):
+    # a rule that transmits only on the right skews every belief below the
+    # root, so those states' greedy rules are off centre
+    problem, geometry = tiny_problem, tiny_geometry
+    lopsided = np.where(geometry.nodes() >= 1.0, 4.0, 0.0)
+    policy = PowerPolicy.uniform(lopsided, problem.actions, geometry, enforce=False)
+    chain = build_chain(problem, geometry, policy, depth=3)
+    values = evaluate_policy(chain, problem.cost).relative_values
+    improved = improve_policy(chain, problem.cost, values)
+    assert isinstance(improved.rules[((), 0)], ThresholdAction)
+
+    levels = np.asarray(problem.actions.levels)
+    q_by_gain = _success_table(problem)
+    tabular = {}
+    for i, g, gap, _, center in _greedy_states(chain, q_by_gain, problem.cost, values):
+        if abs(center) > CENTER_SNAP_TOL:
+            tabular[(chain.nodes[i], g)] = levels[_improve_state_tabular(
+                chain.beliefs[i], problem.actions, q_by_gain[g], problem.cost.alpha, gap, center
+            )]
+    assert sorted(tabular) == [((0,), 0), ((0, 0), 0)]
+    for key, rule in tabular.items():
+        np.testing.assert_array_equal(improved.rules[key], rule)
+
+    changed = dict(improved.rules)
+    table = changed[((0,), 0)].copy()
+    mid = len(table) // 2
+    table[mid] = 4.0 if table[mid] == 0.0 else 0.0
+    changed[((0,), 0)] = table
+    same = PowerPolicy.from_rules(dict(improved.rules), problem.actions, geometry)
+    other = PowerPolicy.from_rules(changed, problem.actions, geometry)
+    assert _rules_signature(same) == _rules_signature(improved)
+    assert _rules_signature(other) != _rules_signature(improved)
