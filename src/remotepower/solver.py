@@ -30,6 +30,13 @@ a threshold rule and a gain, and rewrites the rule with
 probe is two ``propagate`` calls and one ``relation_R`` call.  The first
 probe that fails raises its error.
 
+``solve`` and ``solve_discounted`` hold one tree at a time: each round's
+chain, and with it the tree's array, is dropped once its improvement sweep
+is done and before the next round builds its own.  ``SolveResult.chain`` is
+the chain still in hand when the loop ended on a repeated rule set or on
+``max_rounds``; when the last round was rejected, the best policy's chain is
+gone by then, and the first read of ``chain`` builds it again.
+
 Depth capping makes the tail nodes approximate: their beliefs are frozen and
 they transmit at full power, so a failure at the cap self-loops.  The solver
 reports tail occupancy so callers can confirm the cap does not matter.
@@ -41,9 +48,10 @@ import math
 import os
 import threading
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from itertools import combinations_with_replacement
 from queue import Empty, SimpleQueue
 
@@ -710,7 +718,15 @@ def _rules_signature(policy: PowerPolicy) -> tuple:
 
 @dataclass
 class SolveResult:
-    """Best policy found by alternating chain builds and improvement sweeps."""
+    """Best policy found by alternating chain builds and improvement sweeps.
+
+    ``chain`` is the best policy's chain.  When the loop ended on a repeated
+    rule set or on ``max_rounds``, it is the chain `solve` still held.  When
+    the last round was rejected, `solve` had dropped the best policy's chain
+    before building the rejected one, and the first read of ``chain`` builds
+    it again with ``build_chain``; the build is deterministic, so the chain
+    matches the dropped one bit for bit.
+    """
 
     policy: PowerPolicy
     rho_star: float
@@ -720,8 +736,14 @@ class SolveResult:
     rho_history: list[float]
     tail_occupancy: float
     converged: bool
-    chain: UnfoldedChain
     evaluation: EvaluationResult
+    # the best policy's chain, or the call that builds it again
+    _chain: UnfoldedChain | Callable[[], UnfoldedChain] = field(repr=False)
+
+    @cached_property
+    def chain(self) -> UnfoldedChain:
+        got = self._chain
+        return got if isinstance(got, UnfoldedChain) else got()
 
 
 def solve(
@@ -740,7 +762,8 @@ def solve(
     loop stops when a round fails to improve the average cost by more than
     tol_rho, or when the improvement returns the incumbent policy unchanged.
     Because each improvement is scored against the incumbent chain's beliefs,
-    monotonicity is enforced by acceptance rather than assumed.
+    monotonicity is enforced by acceptance rather than assumed.  One tree is
+    held at a time (see ``SolveResult`` for when its ``chain`` is rebuilt).
     """
     grid = (
         threshold_grid(problem.actions.saturation_radius, threshold_points)
@@ -748,11 +771,13 @@ def solve(
         else None
     )
     policy: PowerPolicy = PowerPolicy.max_power(problem.actions, geometry)
-    best: tuple[PowerPolicy, UnfoldedChain, EvaluationResult] | None = None
+    best: tuple[PowerPolicy, EvaluationResult] | None = None
+    chain: UnfoldedChain | None = None
     history: list[float] = []
     converged = False
     rounds = 0
     for rounds in range(1, max_rounds + 1):
+        chain = None  # the last round's tree goes before this round's is built
         try:
             chain = build_chain(problem, geometry, policy, depth)
         except SupportOverflowError as err:
@@ -761,10 +786,11 @@ def solve(
             raise _start_overflow(problem, depth, err) from err
         ev = evaluate_policy(chain, problem.cost)
         history.append(ev.rho)
-        if best is not None and ev.rho >= best[2].rho - tol_rho:
+        if best is not None and ev.rho >= best[1].rho - tol_rho:
             converged = True
+            chain = None  # the rejected policy's
             break
-        best = (policy, chain, ev)
+        best = (policy, ev)
         improved = improve_policy(
             chain, problem.cost, ev.relative_values, switch_grid=grid
         )
@@ -774,7 +800,7 @@ def solve(
         policy = improved
 
     assert best is not None
-    policy, chain, ev = best
+    policy, ev = best
     return SolveResult(
         policy=policy,
         rho_star=ev.rho,
@@ -784,8 +810,8 @@ def solve(
         rho_history=history,
         tail_occupancy=ev.tail_occupancy,
         converged=converged,
-        chain=chain,
         evaluation=ev,
+        _chain=chain or partial(build_chain, problem, geometry, policy, depth),
     )
 
 
@@ -861,6 +887,9 @@ def solve_discounted(
     guaranteed and the alternation can enter a short limit cycle instead of a
     fixed point; revisiting any earlier rule set therefore also counts as
     converged (the recurring policy is returned with its own exact values).
+    When ``max_rounds`` runs out first, the last policy evaluated is returned
+    with its own values and chain.  One tree is held at a time: each round's
+    chain is dropped before the next round builds its own.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly between 0 and 1")
@@ -869,13 +898,15 @@ def solve_discounted(
         if threshold_points is not None
         else None
     )
-    policy: PowerPolicy = PowerPolicy.max_power(problem.actions, geometry)
+    candidate: PowerPolicy = PowerPolicy.max_power(problem.actions, geometry)
     chain: UnfoldedChain | None = None
     values = np.zeros(0)
     converged = False
     rounds = 0
     seen: set[tuple] = set()
     for rounds in range(1, max_rounds + 1):
+        # the last round's tree goes before this round's is built
+        policy, chain = candidate, None
         try:
             chain = build_chain(problem, geometry, policy, depth)
         except SupportOverflowError as err:
@@ -888,13 +919,12 @@ def solve_discounted(
             converged = True
             break
         seen.add(signature)
-        improved = improve_policy(
+        candidate = improve_policy(
             chain, problem.cost, values, switch_grid=grid, beta=beta
         )
-        if _rules_signature(improved) == signature:
+        if _rules_signature(candidate) == signature:
             converged = True
             break
-        policy = improved
 
     assert chain is not None
     stage = chain.stage_vector(problem.cost)

@@ -1,6 +1,8 @@
 """Unfolded failure chain, exact evaluation, improvement sweeps, and the solvers."""
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -42,6 +44,7 @@ from remotepower import (
     variance,
     verify_structure,
 )
+from remotepower import solver
 from remotepower.solver import (
     CENTER_SNAP_TOL,
     _greedy_states,
@@ -579,3 +582,91 @@ def test_an_off_centre_greedy_rule_becomes_tabular(tiny_problem, tiny_geometry):
     other = PowerPolicy.from_rules(changed, problem.actions, geometry)
     assert _rules_signature(same) == _rules_signature(improved)
     assert _rules_signature(other) != _rules_signature(improved)
+
+
+@pytest.mark.parametrize("run", [
+    # depth 3 ends on a repeated rule set, depth 4 on a rejected round
+    lambda problem, geometry: solve(problem, geometry, depth=3),
+    lambda problem, geometry: solve(problem, geometry, depth=4),
+    lambda problem, geometry: solve_discounted(problem, geometry, 0.9, depth=4),
+], ids=["solve-repeat", "solve-rejected", "solve_discounted"])
+def test_a_solve_holds_one_tree_at_a_time(monkeypatch, tiny_problem, tiny_geometry, run):
+    real = solver.build_chain
+    trees = []
+
+    def build(*args):
+        gc.collect()
+        alive = [k + 1 for k, tree in enumerate(trees) if tree() is not None]
+        assert not alive, f"round {len(trees) + 1} starts with the trees of rounds {alive}"
+        chain = real(*args)
+        trees.append(weakref.ref(chain.beliefs[0].weights.base))
+        return chain
+
+    monkeypatch.setattr(solver, "build_chain", build)
+    run(tiny_problem, tiny_geometry)
+    assert len(trees) >= 3
+
+
+def _assert_same_chain(got, want):
+    assert got.nodes == want.nodes
+    assert len(got.beliefs) == len(want.beliefs)
+    for a, b in zip(got.beliefs, want.beliefs):
+        assert np.array_equal(a.weights, b.weights)
+    for name in ("child", "phi", "power", "distortion", "tail_mask", "virtual_mask"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got.P, name), getattr(want.P, name)), name
+
+
+@pytest.mark.parametrize("depth, rebuilt", [(3, False), (4, True)])
+def test_solve_hands_over_the_best_policys_own_chain(
+    monkeypatch, tiny_problem, tiny_geometry, depth, rebuilt
+):
+    # depth 3 ends on a repeated rule set, so the chain in hand is the best
+    # policy's; depth 4 ends on a rejected round, so it is built once more
+    real = solver.build_chain
+    built = []
+
+    def build(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "build_chain", build)
+    result = solve(tiny_problem, tiny_geometry, depth=depth)
+    rounds = len(built)
+    assert (result.rho_history[-1] > result.rho_star) == rebuilt
+    best = built[int(np.argmin(result.rho_history))]
+    chain = result.chain
+    assert len(built) == rounds + rebuilt
+    assert result.chain is chain
+    assert (chain is best) != rebuilt
+    _assert_same_chain(chain, best)
+
+
+def test_the_canonical_chain_is_built_again_bit_for_bit(
+    canon_solution, canon_problem, canon_geometry
+):
+    # round 5 is rejected, so the solve no longer held round 4's chain
+    assert canon_solution.rho_history[-1] > canon_solution.rho_star
+    _assert_same_chain(
+        canon_solution.chain,
+        build_chain(canon_problem, canon_geometry, canon_solution.policy, 8),
+    )
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2])
+def test_an_unconverged_discounted_solve_returns_the_policy_it_evaluated(
+    tiny_problem, tiny_geometry, max_rounds
+):
+    # the tiny problem converges in round 3 at depth 3
+    result = solve_discounted(tiny_problem, tiny_geometry, 0.9, depth=3, max_rounds=max_rounds)
+    assert not result.converged
+    assert result.iterations == max_rounds
+    if max_rounds == 1:
+        start = PowerPolicy.max_power(tiny_problem.actions, tiny_geometry)
+        assert _rules_signature(result.policy) == _rules_signature(start)
+    chain = build_chain(tiny_problem, tiny_geometry, result.policy, 3)
+    _assert_same_chain(result.chain, chain)
+    own = discounted_policy_values(chain, tiny_problem.cost, 0.9)
+    assert np.array_equal(result.values, own)
+    assert result.residual <= 1e-9
