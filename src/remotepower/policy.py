@@ -193,8 +193,9 @@ def canonicalize(action: ActionFunction, theta: BeliefGrid) -> ThresholdAction:
 class PowerPolicy:
     """Map from (chain node, gain index) to a transmission rule.
 
-    mode "baseline" ignores the state entirely; "threshold"/"tabular" look the
-    state up in `rules`, falling back to `default` when present.  `enforce`
+    A baseline is its one rule at every state, held as `default` (which its
+    file leaves null); "threshold"/"tabular" look the state up in `rules`,
+    falling back to `default` when present.  `enforce`
     is forwarded to expanded ActionFunctions; False only for diagnostic
     baselines that deliberately break saturation (e.g. constant zero power).
     """
@@ -219,12 +220,19 @@ class PowerPolicy:
         if self.baseline not in self._BASELINES:
             raise ValueError(f"baseline must be one of {self._BASELINES}, got {self.baseline!r}")
         param = self.baseline_param
-        if self.baseline != "max_power" and not (
+        self.rules = {}
+        if self.baseline == "max_power":
+            self.default = max_power_action(self.action_set)
+        elif not (
             isinstance(param, (int, float)) and not isinstance(param, bool) and math.isfinite(param)
         ):
             raise ValueError(
                 f"the {self.baseline} baseline needs a finite baseline_param, got {param!r}"
             )
+        elif self.baseline == "on_off":
+            self.default = on_off_action(param, self.action_set)
+        else:
+            self.default = np.full(self.geometry.n_points, float(param))
 
     # -- constructors -------------------------------------------------------
 
@@ -286,12 +294,6 @@ class PowerPolicy:
     # -- lookup -------------------------------------------------------------
 
     def rule_for(self, node: NodeKey, gain_index: int) -> Rule:
-        if self.mode == "baseline":
-            if self.baseline == "max_power":
-                return max_power_action(self.action_set)
-            if self.baseline == "on_off":
-                return on_off_action(self.baseline_param, self.action_set)
-            return np.full(self.geometry.n_points, self.baseline_param)
         key = (tuple(node), int(gain_index))
         if key in self.rules:
             return self.rules[key]
@@ -310,8 +312,6 @@ class PowerPolicy:
         entries = list(self.rules.values())
         if self.default is not None:
             entries.append(self.default)
-        if self.mode == "baseline":
-            return self.baseline in ("max_power", "on_off")
         return all(isinstance(r, ThresholdAction) for r in entries)
 
     # -- serialization ------------------------------------------------------
@@ -334,7 +334,8 @@ class PowerPolicy:
             "levels": list(self.action_set.levels),
             "saturation_radius": self.action_set.saturation_radius,
             "grid": {"half_width": self.geometry.half_width, "n_points": self.geometry.n_points},
-            "default": rule_dict(self.default) if self.default is not None else None,
+            "default": None if self.mode == "baseline" or self.default is None
+            else rule_dict(self.default),
             "states": states,
         }
 

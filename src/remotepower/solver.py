@@ -17,9 +17,9 @@ run of rows, which go through the batched belief step straight into the
 array in blocks of ``belief._BLOCK_ROWS`` rows taken off one queue.  When
 the process may use two CPUs and the level has more than one block, a
 worker thread, kept for the life of the process, takes blocks beside the
-calling thread.  Each distinct threshold rule is expanded once per tree,
-and rules and their success vectors are made on the calling thread before
-any block is stepped.  Policy improvement and the structure witness read one
+calling thread.  Each rule the policy holds is expanded once per tree, and
+rules and their success vectors are made on the calling thread before any
+block is stepped.  Policy improvement and the structure witness read one
 greedy pass, which takes the ring minimum of ``_BLOCK_ROWS`` states at one
 gain at once.
 
@@ -209,17 +209,18 @@ class _HistoryTree:
     from the root 0: the child of inner node i (i < n_inner) at gain g is
     G*i + 1 + g, and a node at the depth cap is its own child.  ``nodes``,
     ``node_index`` and ``child`` expose that numbering.  The rule at (i, g)
-    is the policy's rule, or full power at the cap; each distinct threshold
-    rule is expanded once and shared.  Asking for a belief fills every level
-    down to the node's; beliefs are the rows of one (nodes, points) array
-    the tree owns, handed out as views.  A level's nodes are one run of rows,
-    stepped from their parents' rows in blocks of ``_BLOCK_ROWS`` rows by the
-    calling thread and, when the process may use two CPUs and the level has
-    more than one block, by the step worker too.  A child whose step fails
-    stores its error, which is raised again for that node and for every node
-    below it; its siblings go on.  A failed node's children are stepped with
-    the rest and then take its error.  The policy must be built on the
-    tree's grid.
+    is the policy's rule, or full power at the cap; each rule the policy
+    holds is expanded once and shared, keyed by the rule (a table by the
+    policy's own array), so the policy must not change while its tree lives.
+    Asking for a belief fills every level down to the node's; beliefs are
+    the rows of one (nodes, points) array the tree owns, handed out as
+    views.  A level's nodes are one run of rows, stepped from their parents'
+    rows in blocks of ``_BLOCK_ROWS`` rows by the calling thread and, when
+    the process may use two CPUs and the level has more than one block, by
+    the step worker too.  A child whose step fails stores its error, which
+    is raised again for that node and for every node below it; its siblings
+    go on.  A failed node's children are stepped with the rest and then take
+    its error.  The policy must be built on the tree's grid.
     """
 
     def __init__(
@@ -247,8 +248,7 @@ class _HistoryTree:
         self._full_power = max_power_action(problem.actions).as_action(
             geometry, problem.actions
         )
-        self._expanded: dict[ThresholdAction, ActionFunction] = {}
-        self._actions: dict[tuple[int, int], ActionFunction] = {}
+        self._expanded: dict[ThresholdAction | int, ActionFunction] = {}
         self._weights = np.empty((n_nodes, geometry.n_points))
         self._weights[0] = self.root.weights
         self._filled = 1
@@ -263,18 +263,11 @@ class _HistoryTree:
     def action_at(self, i: int, g: int) -> ActionFunction:
         if i >= self.n_inner:
             return self._full_power
-        got = self._actions.get((i, g))
+        rule = self.policy.rule_for(self.nodes[i], g)
+        key = rule if isinstance(rule, ThresholdAction) else id(rule)
+        got = self._expanded.get(key)
         if got is None:
-            rule = self.policy.rule_for(self.nodes[i], g)
-            if isinstance(rule, ThresholdAction):
-                got = self._expanded.get(rule)
-                if got is None:
-                    got = self._expanded[rule] = rule.as_action(
-                        self.policy.geometry, self.policy.action_set
-                    )
-            else:
-                got = self.policy.action_of(self.nodes[i], g)
-            self._actions[(i, g)] = got
+            got = self._expanded[key] = self.policy.action_of(self.nodes[i], g)
         return got
 
     def belief_at(self, i: int) -> BeliefGrid:
@@ -295,7 +288,7 @@ class _HistoryTree:
         for c in range(n, G * n + 1):
             parent, g = divmod(c - 1, G)
             action = self.action_at(parent, g)
-            # an id() names one action only while it lives; _actions keeps each alive
+            # an id() names one action only while it lives; _expanded keeps each alive
             key = (id(action), g)
             if key not in vectors:
                 vectors[key] = _rule_vectors(action, self.problem.reception, gains[g])
@@ -628,29 +621,25 @@ def _greedy_states(
 
 
 def _grid_scan_state(
-    chain: UnfoldedChain,
+    problem: ControlProblem,
     belief: BeliefGrid,
     gain: float,
     cont_gap: float,
     weights: CostWeights,
-    grid: np.ndarray,
+    candidates: list[tuple[ThresholdAction, ActionFunction]],
 ) -> ThresholdAction:
-    """Exhaustive search over nondecreasing switch tuples from a fixed grid.
+    """Exhaustive search over the expanded candidate switch tuples.
 
     Ties prefer lower expected power, then lexicographically smaller switch
     radii.  Only viable for small level sets and coarse grids.
     """
-    problem = chain.problem
-    n_switch = problem.actions.n_levels - 1
     masses = belief.cell_masses()
     best = None
-    for combo in combinations_with_replacement(np.sort(grid), n_switch):
-        rule = ThresholdAction(tuple(float(t) for t in combo))
-        action = rule.as_action(chain.geometry, problem.actions)
+    for rule, action in candidates:
         phi, power, distortion = _node_rule_terms(
             masses, belief.nodes, action.values, _level_success(action, problem.reception, gain)
         )
-        key = (weights.alpha * power + distortion + (1.0 - phi) * cont_gap, power, combo)
+        key = (weights.alpha * power + distortion + (1.0 - phi) * cont_gap, power, rule.thresholds)
         if best is None or key < best[0]:
             best = (key, rule)
     return best[1]
@@ -670,12 +659,16 @@ def improve_policy(
     those slots will carry under the new policy are recomputed by the next
     build.  `beta` switches the backup to the discounted form; `switch_grid`
     replaces the pointwise argmin with an exhaustive scan over grid-valued
-    switch radii.
+    switch radii, each nondecreasing switch tuple from the grid expanded once.
     """
     problem = chain.problem
     levels = np.asarray(problem.actions.levels)
     q_by_gain = _success_table(problem)
     discount = 1.0 if beta is None else beta
+    if switch_grid is not None:
+        combos = combinations_with_replacement(np.sort(switch_grid), problem.actions.n_levels - 1)
+        rules_on_grid = [ThresholdAction(tuple(float(t) for t in combo)) for combo in combos]
+        candidates = [(r, r.as_action(chain.geometry, problem.actions)) for r in rules_on_grid]
 
     # a ring rule whose failure-branch mean is zero collapses to exact switch
     # radii (each distinct ring choice is fitted once, as greedy rules repeat
@@ -686,7 +679,7 @@ def improve_policy(
         node, belief = chain.nodes[i], chain.beliefs[i]
         if switch_grid is not None:
             rules[(node, g)] = _grid_scan_state(
-                chain, belief, problem.channel.gains[g], gap, weights, switch_grid
+                problem, belief, problem.channel.gains[g], gap, weights, candidates
             )
         elif abs(center) <= CENTER_SNAP_TOL:
             key = choice.tobytes()
@@ -703,17 +696,15 @@ def improve_policy(
 
 
 def _rules_signature(policy: PowerPolicy) -> tuple:
-    """Hashable identity of a policy's rule set, for revisit detection."""
-    if policy.mode == "baseline":
-        return ("baseline", policy.baseline, policy.baseline_param)
-    items = []
-    for key in sorted(policy.rules):
-        rule = policy.rules[key]
+    """Hashable identity of a policy's rules and default, for revisit detection."""
+
+    def identity(rule: Rule | None):
         if isinstance(rule, ThresholdAction):
-            items.append((key, rule.thresholds))
-        else:
-            items.append((key, np.asarray(rule, dtype=float).tobytes()))
-    return tuple(items)
+            return rule.thresholds
+        return None if rule is None else np.asarray(rule, dtype=float).tobytes()
+
+    items = [(key, identity(policy.rules[key])) for key in sorted(policy.rules)]
+    return (*items, identity(policy.default))
 
 
 @dataclass
