@@ -429,7 +429,7 @@ def run(argv: list[str] | None = None) -> int:
     except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ChainStructureError, GridGeometryError, MeasureMatchError,
+    except (ChainStructureError, GridGeometryError, MeasureMatchError, MemoryError,
             SupportOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -238,6 +238,16 @@ class _HistoryTree:
         self.n_gains = G = len(problem.channel.gains)
         self.n_inner = sum(G**k for k in range(depth))
         n_nodes = self.n_inner + G**depth
+        # the array first: numpy refuses one too large at once, and the node
+        # list below would take minutes to grow to that size
+        try:
+            self._weights = np.empty((n_nodes, geometry.n_points))
+        except (MemoryError, ValueError) as err:
+            raise MemoryError(
+                f"the failure-history tree of depth {depth} has {n_nodes} nodes of "
+                f"{geometry.n_points} points ({8 * n_nodes * geometry.n_points} bytes), "
+                "more than this process can allocate; lower the depth"
+            ) from err
         self.nodes: list[NodeKey] = [()]
         for c in range(n_nodes - 1):
             self.nodes.append(self.nodes[c // G] + (c % G,))
@@ -249,7 +259,6 @@ class _HistoryTree:
             geometry, problem.actions
         )
         self._expanded: dict[ThresholdAction | int, ActionFunction] = {}
-        self._weights = np.empty((n_nodes, geometry.n_points))
         self._weights[0] = self.root.weights
         self._filled = 1
         self._errors: dict[int, ValueError] = {}
@@ -755,7 +764,10 @@ def solve(
     Because each improvement is scored against the incumbent chain's beliefs,
     monotonicity is enforced by acceptance rather than assumed.  One tree is
     held at a time (see ``SolveResult`` for when its ``chain`` is rebuilt).
+    Raises ValueError unless `max_rounds` is an integer >= 1.
     """
+    if not (_is_int(max_rounds) and max_rounds >= 1):
+        raise ValueError(f"max_rounds must be an integer >= 1, got {max_rounds!r}")
     grid = (
         threshold_grid(problem.actions.saturation_radius, threshold_points)
         if threshold_points is not None
@@ -880,10 +892,13 @@ def solve_discounted(
     converged (the recurring policy is returned with its own exact values).
     When ``max_rounds`` runs out first, the last policy evaluated is returned
     with its own values and chain.  One tree is held at a time: each round's
-    chain is dropped before the next round builds its own.
+    chain is dropped before the next round builds its own.  Raises
+    ValueError unless `max_rounds` is an integer >= 1.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly between 0 and 1")
+    if not (_is_int(max_rounds) and max_rounds >= 1):
+        raise ValueError(f"max_rounds must be an integer >= 1, got {max_rounds!r}")
     grid = (
         threshold_grid(problem.actions.saturation_radius, threshold_points)
         if threshold_points is not None

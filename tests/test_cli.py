@@ -731,3 +731,12 @@ def test_unreadable_or_mismatched_policy_files_are_config_errors(
     code = run(["evaluate", tiny_cfg_path, "--policy", paths[case]()])
     err = _assert_one_line_input_error(code, capsys)
     assert err.startswith("config error: ") and expected in err
+
+
+def test_an_impossible_depth_is_one_error_line(tmp_path, capsys):
+    cfg = {**TINY_CONFIG, "channel": {"gains": [0.5, 2.0], "transition": [[0.5, 0.5], [0.5, 0.5]]},
+           "solver": {"depth": 40}}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(cfg))
+    err = _assert_one_line_input_error(run(["solve", str(path)]), capsys)
+    assert err.startswith("error: the failure-history tree of depth 40 has 2199023255551 nodes")

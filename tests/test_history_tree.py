@@ -13,6 +13,7 @@ import logging
 import os
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ import pytest
 
 from oracles import chain_per_node, gain_path, propagate_fftconvolve
 from remotepower import (
+    ActionFunction,
     ActionSet,
     ControlProblem,
     CostWeights,
@@ -303,3 +305,58 @@ def test_a_policy_on_another_grid_is_refused(tiny_problem, tiny_geometry):
         with pytest.raises(GridGeometryError) as err:
             build_chain(tiny_problem, other, policy, 3)
         assert str(err.value) == want
+
+
+def test_a_constant_baseline_is_expanded_once(monkeypatch, canon_problem, canon_geometry):
+    built = []
+    init = ActionFunction.__post_init__
+
+    def counted(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(ActionFunction, "__post_init__", counted)
+    policy = PowerPolicy.constant(2.0, canon_problem.actions, canon_geometry)
+    chain = build_chain(canon_problem, canon_geometry, policy, 8)
+    # the baseline's one table and the full power at the depth cap
+    assert len(built) == 2
+    assert len({id(a) for a in chain.actions}) == 2
+
+
+def test_a_shared_table_builds_the_chain_of_one_table_per_state(tiny_problem, tiny_geometry):
+    table = np.where(np.abs(tiny_geometry.nodes()) >= 1.5, 4.0, 0.0)
+    keys = [((0,) * k, 0) for k in range(3)]  # the inner states of the one-gain tree
+    shared = PowerPolicy.from_rules({k: table for k in keys}, tiny_problem.actions, tiny_geometry)
+    copies = PowerPolicy.from_rules({k: table.copy() for k in keys}, tiny_problem.actions,
+                                    tiny_geometry)
+    one, many = (build_chain(tiny_problem, tiny_geometry, p, 3) for p in (shared, copies))
+    assert len({id(a) for a in one.actions}) == 2
+    assert len({id(a) for a in many.actions}) == len(keys) + 1
+    for a, b in zip(one.actions, many.actions):
+        assert np.array_equal(a.values, b.values)
+    for a, b in zip(one.beliefs, many.beliefs):
+        assert np.array_equal(a.weights, b.weights)
+    for name in ("phi", "power", "distortion"):
+        assert np.array_equal(getattr(one, name), getattr(many, name)), name
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(one.P, part), getattr(many.P, part)), part
+
+
+def test_an_impossible_depth_fails_at_once(tiny_geometry):
+    problem = ControlProblem(
+        process=ScalarProcess(a=1.2, noise_var=1.0),
+        channel=FadingChannel(gains=(0.5, 2.0), transition=((0.5, 0.5), (0.5, 0.5))),
+        reception=ReceptionModel(form="exponential", scale=1.0),
+        actions=ActionSet(levels=(0.0, 4.0), saturation_radius=6.0),
+        cost=CostWeights(alpha=0.5),
+    )
+    policy = PowerPolicy.max_power(problem.actions, tiny_geometry)
+    nodes = 2**41 - 1
+    start = time.perf_counter()
+    with pytest.raises(MemoryError) as err:
+        build_chain(problem, tiny_geometry, policy, 40)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == (
+        f"the failure-history tree of depth 40 has {nodes} nodes of 401 points "
+        f"({8 * nodes * 401} bytes), more than this process can allocate; lower the depth"
+    )

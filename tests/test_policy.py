@@ -218,3 +218,18 @@ def test_threshold_action_refuses_nan_and_keeps_infinite_thresholds():
             ThresholdAction(thresholds)
     # an infinite threshold still builds: the level below it never ends
     assert ThresholdAction((1.0, float("inf"), float("inf"))).level_at(1e300, ACTS) == 1.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PowerPolicy.max_power(ACTS, GEOM),
+    lambda: PowerPolicy.on_off(2.0, ACTS, GEOM),
+    lambda: PowerPolicy.constant(0.0, ACTS, GEOM),
+    lambda: PowerPolicy.constant(4.0, ACTS, GEOM),
+], ids=["max_power", "on_off", "constant-0", "constant-4"])
+def test_a_baseline_is_its_one_rule_at_every_state(make):
+    pol = make()
+    assert pol.rule_for((0,), 1) is pol.rule_for((0, 1, 0), 0)
+    # the file names the rule by baseline and baseline_param alone
+    assert pol.to_dict()["default"] is None
+    back = PowerPolicy.from_dict(json.loads(json.dumps(pol.to_dict())), ACTS, GEOM)
+    assert back.to_dict() == pol.to_dict()

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -670,3 +671,49 @@ def test_an_unconverged_discounted_solve_returns_the_policy_it_evaluated(
     own = discounted_policy_values(chain, tiny_problem.cost, 0.9)
     assert np.array_equal(result.values, own)
     assert result.residual <= 1e-9
+
+
+def test_baselines_have_distinct_rule_signatures(tiny_geometry):
+    acts = ActionSet(levels=(0.0, 1.0, 2.0, 4.0), saturation_radius=6.0)
+    policies = [
+        PowerPolicy.max_power(acts, tiny_geometry),
+        PowerPolicy.on_off(1.5, acts, tiny_geometry),
+        PowerPolicy.on_off(2.0, acts, tiny_geometry),
+        PowerPolicy.constant(0.0, acts, tiny_geometry),
+        PowerPolicy.constant(4.0, acts, tiny_geometry),
+    ]
+    assert len({_rules_signature(p) for p in policies}) == len(policies)
+
+
+def test_a_grid_sweep_expands_each_candidate_once(monkeypatch, tiny_problem, tiny_geometry):
+    policy = PowerPolicy.on_off(1.5, tiny_problem.actions, tiny_geometry)
+    chain = build_chain(tiny_problem, tiny_geometry, policy, depth=3)
+    ev = evaluate_policy(chain, tiny_problem.cost)
+    grid = threshold_grid(tiny_problem.actions.saturation_radius, 7)
+    calls = []
+    expand = ThresholdAction.as_action
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return expand(self, *args, **kwargs)
+
+    monkeypatch.setattr(ThresholdAction, "as_action", counted)
+    improved = improve_policy(chain, tiny_problem.cost, ev.relative_values, switch_grid=grid)
+    # one switch per rule on two levels: the candidates are the grid's points
+    assert sorted(r.thresholds for r in calls) == [(float(t),) for t in grid]
+    assert len(improved.rules) == int((~chain.tail_mask).sum()) * chain.n_gains
+
+
+@pytest.mark.parametrize("max_rounds", [0, -1, True, 2.5])
+@pytest.mark.parametrize("run", [solve, partial(solve_discounted, beta=0.9)],
+                         ids=["solve", "solve_discounted"])
+def test_solvers_refuse_a_round_count_below_one_or_not_an_integer(
+    monkeypatch, tiny_problem, tiny_geometry, run, max_rounds
+):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a chain was built")
+
+    monkeypatch.setattr(solver, "build_chain", no_build)
+    with pytest.raises(ValueError) as err:
+        run(tiny_problem, tiny_geometry, depth=3, max_rounds=max_rounds)
+    assert str(err.value) == f"max_rounds must be an integer >= 1, got {max_rounds!r}"
