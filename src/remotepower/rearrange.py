@@ -18,7 +18,10 @@ half a cell of mass, orders of magnitude above what the preservation
 identities tolerate).
 
 Every function here works on one belief or one pair of beliefs, and
-verify_structure's probes call them one probe at a time.  Only the
+verify_structure's probes call them one probe at a time, in the calling
+process or in forked pool workers.  A probe's draws for its relation pair
+are made by _relation_pair_draws alone, so the caller can move a generator
+past a chunk of probes without building their beliefs.  Only the
 rearrangement keeps a (rows, points) form underneath, of which
 symmetric_decreasing_rearrangement is the one-row case.
 """
@@ -268,13 +271,41 @@ def interior_permutation(
     half-width endpoint cells stay put.  Of the checks a BeliefGrid makes,
     only the normalization can come out differently, so only it is made.
     """
-    eligible = np.arange(1, belief.n_points - 1)
-    eligible = eligible[np.abs(belief.nodes[eligible]) < max_radius]
+    cells = _interior_cells(belief.geometry, max_radius)
+    return _shuffled(belief, cells, rng.permutation(cells))
+
+
+def _interior_cells(geometry: GridGeometry, max_radius: float) -> np.ndarray:
+    """The cells interior_permutation shuffles: all but the two endpoint
+    cells, inside max_radius."""
+    cells = np.arange(1, geometry.n_points - 1)
+    return cells[np.abs(_grid_arrays(geometry).nodes[cells]) < max_radius]
+
+
+def _shuffled(belief: BeliefGrid, cells: np.ndarray, order: np.ndarray) -> BeliefGrid:
+    """`belief` with the values of `cells` taken from `order`, normalization checked."""
     w = belief.weights.copy()
-    w[eligible] = w[rng.permutation(eligible)]
+    w[cells] = w[order]
     errors: list[ValueError | None] = [None]
     _check_normalized(w[None], _grid_arrays(belief.geometry).cell_w, errors)
     return _one_row(belief.geometry, w[None], errors)
+
+
+def _relation_pair_draws(
+    geometry: GridGeometry, rng: np.random.Generator, max_radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every draw of one random_relation_pair, in its order: the component
+    count, the widths, the weights when there is more than one component,
+    then the permutation of the interior cells.  Returns (widths, weights,
+    cells, permuted cells)."""
+    if not 0.0 < max_radius < geometry.half_width:
+        raise ValueError("max_radius must lie inside the grid")
+    k = int(rng.integers(1, 4))
+    sigma_cap = max(0.75, min(2.0, geometry.half_width / 8.0))
+    sigmas = rng.uniform(0.5, sigma_cap, size=k)
+    mix = rng.dirichlet(np.ones(k)) if k > 1 else np.ones(1)
+    cells = _interior_cells(geometry, max_radius)
+    return sigmas, mix, cells, rng.permutation(cells)
 
 
 def random_relation_pair(
@@ -286,17 +317,12 @@ def random_relation_pair(
     centered Gaussian mixture, theta_hat its symmetric decreasing
     rearrangement.  Components are kept narrow relative to the grid so the
     mixture carries no mass near the boundary and the untouched tail cells
-    agree between the two beliefs.
+    agree between the two beliefs.  The draws are _relation_pair_draws'.
     """
-    if not 0.0 < max_radius < geometry.half_width:
-        raise ValueError("max_radius must lie inside the grid")
-    k = int(rng.integers(1, 4))
-    sigma_cap = max(0.75, min(2.0, geometry.half_width / 8.0))
-    sigmas = rng.uniform(0.5, sigma_cap, size=k)
-    mix = rng.dirichlet(np.ones(k)) if k > 1 else np.ones(1)
+    sigmas, mix, cells, order = _relation_pair_draws(geometry, rng, max_radius)
     nodes = _grid_arrays(geometry).nodes
     dens = np.zeros(geometry.n_points)
     for w, s in zip(mix, sigmas):
         dens += w * np.exp(-0.5 * (nodes / s) ** 2) / s
-    theta = interior_permutation(_renormalized(geometry, dens), rng, max_radius=max_radius)
+    theta = _shuffled(_renormalized(geometry, dens), cells, order)
     return theta, symmetric_decreasing_rearrangement(theta)

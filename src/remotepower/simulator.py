@@ -33,7 +33,7 @@ from .belief import (
 )
 from .model import ControlProblem, ScalarProcess, _is_int
 from .policy import PowerPolicy
-from .solver import _HistoryTree
+from .solver import _HistoryTree, _fork_pool
 
 logger = logging.getLogger(__name__)
 
@@ -343,9 +343,11 @@ def replicate(
 
     Replication r draws from streams keyed by (base_seed, r), so the summary
     is bit-identical for any thread count; threads only change wall time.
-    Each process runs a contiguous block of replications on one shared
-    failure-history tree.  `_trace` = (path, comment lines) writes
-    replication 0's per-step CSV while that replication runs.
+    With more than one thread, each of that many forked processes runs a
+    contiguous block of replications on one shared failure-history tree
+    (where fork is unavailable, the blocks run one after another here).
+    `_trace` = (path, comment lines) writes replication 0's per-step CSV
+    while that replication runs.
     """
     if not (_is_int(replications) and replications >= 1):
         raise ValueError(f"replications must be an integer >= 1, got {replications!r}")
@@ -358,13 +360,11 @@ def replicate(
          depth, window, _trace)
         for lo, hi in zip(cuts, cuts[1:])
     ]
-    if n_jobs == 1:
-        results = _replicate_worker(jobs[0])
+    pool = _fork_pool(n_jobs) if n_jobs > 1 else None
+    if pool is None:
+        results = [m for job in jobs for m in _replicate_worker(job)]
     else:
-        # loaded here, not with the package: one process needs no pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        with pool:
             results = [m for block in pool.map(_replicate_worker, jobs) for m in block]
 
     costs = [m.avg_cost for m in results]

@@ -23,12 +23,19 @@ block is stepped.  Policy improvement and the structure witness read one
 greedy pass, which takes the ring minimum of ``_BLOCK_ROWS`` states at one
 gain at once.
 
-``verify_structure``'s randomized probes run one at a time through the
+``verify_structure``'s randomized probes go one at a time through the
 public functions: each draws a relation pair with ``random_relation_pair``,
 a threshold rule and a gain, and rewrites the rule with
 ``rearranged_action``.  A cost probe is two ``stage_cost`` calls; an order
-probe is two ``propagate`` calls and one ``relation_R`` call.  The first
-probe that fails raises its error.
+probe is two ``propagate`` calls and one ``relation_R`` call.  With
+``_POOL_MIN_PROBES`` probes a pass or more, in a process that may use more
+than one CPU, the passes are scored by one pool of forked worker processes,
+one per CPU, in contiguous chunks handed out before the rule-shape check
+and the structure witness run, which then overlap the probes.  The caller
+still makes every draw in order, so each probe and the generator's final
+state are those of the serial loop.  The first probe that fails, in probe
+order, raises its error.  Each pass logs its probe count, worker count and
+seconds to the ``remotepower.solver`` logger at INFO.
 
 ``solve`` and ``solve_discounted`` hold one tree at a time: each round's
 chain, and with it the tree's array, is dropped once its improvement sweep
@@ -44,9 +51,13 @@ reports tail occupancy so callers can confirm the cap does not matter.
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import logging
 import math
 import os
 import threading
+import time
 import warnings
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -99,7 +110,14 @@ from .policy import (
     max_power_action,
     threshold_grid,
 )
-from .rearrange import random_relation_pair, rearranged_action, relation_R
+from .rearrange import (
+    _relation_pair_draws,
+    random_relation_pair,
+    rearranged_action,
+    relation_R,
+)
+
+logger = logging.getLogger(__name__)
 
 STATIONARY_RESIDUAL_TOL = 1e-10
 RHO_CROSSCHECK_TOL = 1e-8
@@ -107,6 +125,17 @@ CENTER_SNAP_TOL = 1e-9
 CENTER_ITERATIONS = 5
 STRUCTURE_GAP_TOL = 1e-5
 COST_ORDER_TOL = 1e-6
+
+# A probe pass goes to a process pool from this many probes.  A pool of two
+# forked workers costs a pass about 25 ms (13 ms to start and stop it, the
+# rest the caller's draws and the last chunk's wait); a cost probe takes
+# about 1.3 ms on the canonical grid and 0.5 ms on a 401-point grid, and an
+# order probe about 2.3 times as long.  Two workers beat one from about 40
+# probes on the canonical grid and 100 on the 401-point grid.
+_POOL_MIN_PROBES = 100
+# Contiguous chunks of probes per pool worker; a worker done with one chunk
+# takes the next.  2 to 32 took the same time on the canonical probes.
+_CHUNKS_PER_WORKER = 4
 
 
 class ChainStructureError(RuntimeError):
@@ -173,6 +202,25 @@ def _cpu_count() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _fork_pool(workers: int):
+    """A pool of `workers` processes forked from this one, or None where
+    fork is unavailable.
+
+    Fork, not spawn or forkserver: a forked worker starts with this
+    process's modules loaded, where a spawned one would import the package
+    again (about 0.4 s).  The one thread the package starts, the step
+    worker, holds no lock between levels, and a forked child forgets it.
+    The pool's own modules load here, not with the package."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:
+        return None
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
 
 # The one thread that steps blocks beside the calling thread.  It starts with
@@ -999,8 +1047,17 @@ def structure_witness(
     return worst
 
 
+def _rule_draws(problem: ControlProblem, rng: np.random.Generator) -> tuple[np.ndarray, float]:
+    """A probe's draws after its relation pair: sorted uniform switch radii
+    inside the saturation radius, then a channel gain."""
+    L = problem.actions.saturation_radius
+    radii = np.sort(rng.uniform(0.05 * L, 0.95 * L, size=problem.actions.n_levels - 1))
+    return radii, float(rng.choice(problem.channel.gains))
+
+
 def _probes(
-    chain: UnfoldedChain, rng: np.random.Generator, max_radius: float, count: int
+    problem: ControlProblem, geometry: GridGeometry, rng: np.random.Generator,
+    max_radius: float, count: int,
 ) -> Iterator[tuple[BeliefGrid, BeliefGrid, ActionFunction, ActionFunction, float]]:
     """`count` randomized structure probes, drawn one at a time from `rng`.
 
@@ -1008,51 +1065,140 @@ def _probes(
     inside `max_radius`, a threshold rule with sorted uniform switch radii, its
     rearranged twin, and a channel gain; the draws go pair, radii, gain.
     """
-    problem, geometry = chain.problem, chain.geometry
-    L = problem.actions.saturation_radius
     for _ in range(count):
         theta, theta_hat = random_relation_pair(geometry, rng, max_radius=max_radius)
-        radii = np.sort(rng.uniform(0.05 * L, 0.95 * L, size=problem.actions.n_levels - 1))
+        radii, gain = _rule_draws(problem, rng)
         action = ThresholdAction(tuple(float(r) for r in radii)).as_action(
             geometry, problem.actions
         )
-        gain = float(rng.choice(problem.channel.gains))
         yield theta, theta_hat, action, rearranged_action(action, theta, theta_hat), gain
 
 
+def _skip_probes(
+    problem: ControlProblem, geometry: GridGeometry, rng: np.random.Generator,
+    max_radius: float, count: int,
+) -> None:
+    """Move `rng` past the draws of `count` probes, as _probes leaves it,
+    with no belief work."""
+    for _ in range(count):
+        _relation_pair_draws(geometry, rng, max_radius)
+        _rule_draws(problem, rng)
+
+
+def _cost_margin(problem: ControlProblem, theta, theta_hat, action, twin, gain) -> float:
+    """Stage cost of a probe's rule on theta minus its twin's on theta_hat."""
+    return (stage_cost(theta, gain, action, problem.reception, problem.cost)
+            - stage_cost(theta_hat, gain, twin, problem.reception, problem.cost))
+
+
+def _order_verdict(problem: ControlProblem, theta, theta_hat, action, twin, gain) -> bool | None:
+    """Whether relation_R still holds between theta and theta_hat after a
+    failed transmission under the probe's rule and its twin; None when the
+    step of theta (taken first) or of theta_hat is degenerate."""
+    try:
+        theta_next = propagate(theta, gain, action, 0, problem.process, problem.reception)
+        twin_next = propagate(theta_hat, gain, twin, 0, problem.process, problem.reception)
+    except DegenerateSuccessError:
+        return None
+    return relation_R(theta_next, twin_next, problem.actions.saturation_radius,
+                      majorization_slack=1e-6, tail_tol=1e-7)
+
+
+def _scored(
+    score: Callable, problem: ControlProblem, geometry: GridGeometry,
+    rng: np.random.Generator, max_radius: float, count: int,
+) -> list:
+    """`score` of each of `count` probes drawn from `rng`, in order; the
+    first probe that fails raises its error."""
+    probes = _probes(problem, geometry, rng, max_radius, count)
+    return [score(problem, *probe) for probe in probes]
+
+
+@contextlib.contextmanager
+def _probe_passes(
+    chain: UnfoldedChain, rng: np.random.Generator, passes: list[tuple[Callable, float]],
+    count: int,
+) -> Iterator[Iterator[list]]:
+    """Probe passes of `count` probes each, drawn from `rng` one pass after
+    another; a pass is (score, max_radius).  Yields an iterator of each
+    pass's scores, in pass order.
+
+    The passes are scored in this process as the iterator reaches them, or,
+    when the process may use more than one CPU and `count` is at least
+    _POOL_MIN_PROBES, by a pool of forked workers, one per CPU.  Then every
+    pass is cut into contiguous chunks of probes, _CHUNKS_PER_WORKER per
+    worker, and every chunk is handed to the pool on entry, so the workers
+    score the probes while the caller does other work.  The caller still
+    draws every probe in order: it hands each chunk a copy of `rng` at the
+    chunk's start and moves `rng` past the chunk's draws, so every probe and
+    the final state of `rng` are those of the serial loop.  Scores are read
+    in probe order, so the first probe that fails raises its error.  The
+    pool is shut down, with the chunks not yet started dropped, on exit.
+    Each pass logs its probe count, worker count and the seconds from its
+    start (a pooled pass starts with the pool) to its last score.
+    """
+    problem, geometry = chain.problem, chain.geometry
+    workers = _cpu_count()
+    pool = _fork_pool(workers) if workers > 1 and count >= _POOL_MIN_PROBES else None
+    start = time.perf_counter()
+
+    def scored(chunks: list[list] | None) -> Iterator[list]:
+        for p, (score, max_radius) in enumerate(passes):
+            if chunks is None:
+                begun = time.perf_counter()
+                scores = _scored(score, problem, geometry, rng, max_radius, count)
+            else:
+                begun = start
+                scores = [s for chunk in chunks[p] for s in chunk.result()]
+            logger.info("%s: %d probes on %d worker process(es) in %.3f s", score.__name__,
+                        count, 1 if chunks is None else workers, time.perf_counter() - begun)
+            yield scores
+
+    if pool is None:
+        yield scored(None)
+        return
+    try:
+        yield scored(_submit_passes(pool, problem, geometry, rng, passes, count, workers))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _submit_passes(pool, problem, geometry, rng, passes, count, workers) -> list[list]:
+    """Every chunk of every pass handed to the pool, in order, as one list
+    of futures per pass.  Each chunk gets a copy of `rng` at its start, and
+    `rng` moves past the chunk's draws.  A draw that fails stops the handing
+    out: the chunk it falls in, already handed out, fails at the same
+    probe."""
+    n_chunks = min(count, workers * _CHUNKS_PER_WORKER)
+    cuts = [count * k // n_chunks for k in range(n_chunks + 1)]
+    chunks: list[list] = [[] for _ in passes]
+    for (score, max_radius), futures in zip(passes, chunks):
+        for lo, hi in zip(cuts, cuts[1:]):
+            # a copy: the pool pickles the job later, on its own thread
+            futures.append(pool.submit(
+                _scored, score, problem, geometry, copy.deepcopy(rng), max_radius, hi - lo
+            ))
+            try:
+                _skip_probes(problem, geometry, rng, max_radius, hi - lo)
+            except ValueError:
+                return chunks
+    return chunks
+
+
 def _cost_margins(chain: UnfoldedChain, rng: np.random.Generator, count: int) -> list[float]:
-    """Stage cost of each probe's rule on theta minus its twin's on
-    theta_hat, for `count` probes differing inside the saturation radius."""
-    problem = chain.problem
-    L = problem.actions.saturation_radius
-    return [
-        stage_cost(theta, gain, action, problem.reception, problem.cost)
-        - stage_cost(theta_hat, gain, twin, problem.reception, problem.cost)
-        for theta, theta_hat, action, twin, gain in _probes(chain, rng, L, count)
-    ]
+    """_cost_margin of each of `count` probes differing inside the
+    saturation radius."""
+    L = chain.problem.actions.saturation_radius
+    with _probe_passes(chain, rng, [(_cost_margin, L)], count) as scores:
+        return next(scores)
 
 
 def _order_verdicts(
     chain: UnfoldedChain, rng: np.random.Generator, max_radius: float, count: int
 ) -> list[bool | None]:
-    """Whether relation_R still holds between each probe's theta and
-    theta_hat after a failed transmission under its rule and its twin, for
-    `count` probes differing inside `max_radius`; None for a probe whose
-    step of theta (taken first) or of theta_hat is degenerate."""
-    problem = chain.problem
-    L = problem.actions.saturation_radius
-    verdicts: list[bool | None] = []
-    for theta, theta_hat, action, twin, gain in _probes(chain, rng, max_radius, count):
-        try:
-            theta_next = propagate(theta, gain, action, 0, problem.process, problem.reception)
-            twin_next = propagate(theta_hat, gain, twin, 0, problem.process, problem.reception)
-        except DegenerateSuccessError:
-            verdicts.append(None)
-            continue
-        verdicts.append(
-            relation_R(theta_next, twin_next, L, majorization_slack=1e-6, tail_tol=1e-7)
-        )
-    return verdicts
+    """_order_verdict of each of `count` probes differing inside `max_radius`."""
+    with _probe_passes(chain, rng, [(_order_verdict, max_radius)], count) as scores:
+        return next(scores)
 
 
 def verify_structure(
@@ -1072,43 +1218,48 @@ def verify_structure(
     if not (seed is None or (_is_int(seed) and seed >= 0)):
         raise ValueError(f"seed must be None or an integer >= 0, got {seed!r}")
     problem = chain.problem
-    inner = np.flatnonzero(~np.repeat(chain.tail_mask | chain.virtual_mask, chain.n_gains))
-    reports = [check_symmetric_monotone(chain.actions[s]) for s in inner]
-    bad = [r for r in reports if not r]
-    rows = [(
-        "actions symmetric and outward monotone",
-        not bad,
-        f"{len(bad)} violations: {bad[0].reason}" if bad else f"{len(inner)} states",
-    )]
-
-    gap = structure_witness(chain, problem.cost, evaluation.relative_values)
-    rows.append((
-        "threshold class optimal in one-step backup",
-        gap <= STRUCTURE_GAP_TOL,
-        f"max tabular advantage {gap:.3e} (tol {STRUCTURE_GAP_TOL:g})",
-    ))
-
-    rng = np.random.default_rng(seed)
     L = problem.actions.saturation_radius
-    worst = min(_cost_margins(chain, rng, samples))
-    rows.append((
-        "rearranged rule never costs more",
-        worst >= -COST_ORDER_TOL,
-        f"{samples} probes, worst margin {worst:.3e}",
-    ))
-
     # Differences between the pair must stay clear of the saturation boundary:
     # the plant stretch plus the noise kernel leaks interior differences past L,
     # so the tail-equality clause survives one update only for pairs differing
     # inside (L - 6*sigma_w)/a.
-    name = "belief order survives a failed transmission"
     order_radius = (L - 6.0 * problem.process.noise_var**0.5) / abs(problem.process.a)
-    if order_radius < 10.0 * chain.geometry.spacing:
+    passes = [(_cost_margin, L)]
+    if order_radius >= 10.0 * chain.geometry.spacing:
+        passes.append((_order_verdict, order_radius))
+    rng = np.random.default_rng(seed)
+    # a pool scores the probes while this process checks the rules
+    with _probe_passes(chain, rng, passes, samples) as scores:
+        inner = np.flatnonzero(~np.repeat(chain.tail_mask | chain.virtual_mask, chain.n_gains))
+        reports = [check_symmetric_monotone(chain.actions[s]) for s in inner]
+        bad = [r for r in reports if not r]
+        rows = [(
+            "actions symmetric and outward monotone",
+            not bad,
+            f"{len(bad)} violations: {bad[0].reason}" if bad else f"{len(inner)} states",
+        )]
+
+        gap = structure_witness(chain, problem.cost, evaluation.relative_values)
+        rows.append((
+            "threshold class optimal in one-step backup",
+            gap <= STRUCTURE_GAP_TOL,
+            f"max tabular advantage {gap:.3e} (tol {STRUCTURE_GAP_TOL:g})",
+        ))
+
+        worst = min(next(scores))
+        rows.append((
+            "rearranged rule never costs more",
+            worst >= -COST_ORDER_TOL,
+            f"{samples} probes, worst margin {worst:.3e}",
+        ))
+        verdicts = next(scores, None)
+
+    name = "belief order survives a failed transmission"
+    if verdicts is None:
         rows.append(
             (name, True, "skipped: saturation radius too tight for a leak-free probe region")
         )
-        return rows
-    verdicts = _order_verdicts(chain, rng, order_radius, samples)
-    checked = sum(v is not None for v in verdicts)
-    rows.append((name, False not in verdicts, f"{checked} probes"))
+    else:
+        checked = sum(v is not None for v in verdicts)
+        rows.append((name, False not in verdicts, f"{checked} probes"))
     return rows

@@ -1,7 +1,13 @@
 """verify_structure's randomized probes: chunks of rows against one probe at a time."""
 
+import dataclasses
 import json
+import logging
+import multiprocessing
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,3 +210,132 @@ def test_the_first_failing_probe_raises_as_it_does_one_at_a_time():
         pipeline(chain, 40, 3)
     assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
     assert type(got.value).__name__ == "MeasureMatchError"
+
+
+def probes_on(monkeypatch, caplog, cpus, chain, samples, seed):
+    """Both probe passes on one generator with `cpus` CPUs and a pool from
+    one probe on: the margins, the verdicts, the generator's final state,
+    and the worker count each pass logged."""
+    import remotepower.solver as solver
+
+    monkeypatch.setattr(solver, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(solver, "_POOL_MIN_PROBES", 1)
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="remotepower.solver"):
+        problem = chain.problem
+        L = problem.actions.saturation_radius
+        rng = np.random.default_rng(seed)
+        margins = _cost_margins(chain, rng, samples)
+        order_radius = (L - 6.0 * problem.process.noise_var**0.5) / abs(problem.process.a)
+        verdicts = _order_verdicts(chain, rng, order_radius, samples)
+    workers = [int(re.search(r"on (\d+) worker", r.getMessage()).group(1)) for r in caplog.records]
+    return margins, verdicts, rng.bit_generator.state, workers
+
+
+@pytest.mark.parametrize("case", ["frozen-canonical", "negative-a", "degenerate-steps"])
+def test_the_pool_and_the_serial_loop_give_the_same_probes(case, monkeypatch, caplog):
+    make_chain, samples, seed = CASES[case]
+    chain = make_chain()
+    *serial, serial_workers = probes_on(monkeypatch, caplog, 1, chain, samples, seed)
+    *pooled, pooled_workers = probes_on(monkeypatch, caplog, 2, chain, samples, seed)
+    assert (serial_workers, pooled_workers) == ([1, 1], [2, 2])
+    assert pooled == serial
+    assert len(serial[1]) == samples
+    if case == "degenerate-steps":
+        assert None in serial[1]
+    assert multiprocessing.active_children() == []
+
+
+def overflowing_probe_chain():
+    """Probes whose order steps push mass past the +-12 grid: the first to
+    overflow is order probe 29 of 40 at seed 2, and later ones overflow too.
+    The chain is built at a = 1.2, whose own steps fit, and its problem
+    swapped for a = 1.8; the probes read only the problem and the grid."""
+    chain = probe_chain(half_width=12.0, n_points=241)
+    problem = dataclasses.replace(chain.problem, process=ScalarProcess(a=1.8, noise_var=1.0))
+    return dataclasses.replace(chain, problem=problem)
+
+
+@pytest.mark.parametrize("case", ["measure-match", "support-overflow"])
+def test_the_pool_raises_the_first_failing_probe_s_error(case, monkeypatch, caplog):
+    # measure-match: a saturation radius inside a cell, so shuffled mass leaks past it
+    chain, seed, name = {
+        "measure-match": (lambda: probe_chain(saturation_radius=10.02), 3, "MeasureMatchError"),
+        "support-overflow": (overflowing_probe_chain, 2, "SupportOverflowError"),
+    }[case]
+    chain = chain()
+    errors = []
+    for cpus in (1, 2):
+        with pytest.raises(ValueError) as err:
+            probes_on(monkeypatch, caplog, cpus, chain, 40, seed)
+        errors.append(err.value)
+        assert multiprocessing.active_children() == []
+    serial, pooled = errors
+    assert type(pooled) is type(serial) and type(serial).__name__ == name
+    assert str(pooled) == str(serial)
+
+
+VERIFY_ERRORS = {
+    "measure-match": (lambda: probe_chain(saturation_radius=10.02), 3, "MeasureMatchError"),
+    "support-overflow": (overflowing_probe_chain, 2, "SupportOverflowError"),
+    # a contracting plant puts the order probes' radius, (L - 6 sigma_w) / |a|
+    # = 24, past the +-20 grid, while the cost probes fit
+    "order-radius-off-grid": (lambda: probe_chain(a=0.25, saturation_radius=12.0), 1,
+                              "ValueError"),
+    # the same, with a cost probe failing first
+    "cost-fails-first": (lambda: probe_chain(a=0.25, saturation_radius=12.02), 3,
+                         "MeasureMatchError"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:.*process is not unstable")
+@pytest.mark.parametrize("case", list(VERIFY_ERRORS))
+def test_verify_structure_raises_the_same_error_with_the_pool(case, monkeypatch):
+    # the pool takes both passes at once, and the caller draws the order
+    # probes before any cost probe is scored
+    import remotepower.solver as solver
+
+    make_chain, seed, name = VERIFY_ERRORS[case]
+    chain = make_chain()
+    evaluation = evaluate_policy(chain, chain.problem.cost)
+    monkeypatch.setattr(solver, "_POOL_MIN_PROBES", 1)
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(solver, "_cpu_count", lambda cpus=cpus: cpus)
+        with pytest.raises(ValueError) as err:
+            verify_structure(chain, evaluation, samples=40, seed=seed)
+        errors.append(err.value)
+        assert multiprocessing.active_children() == []
+    serial, pooled = errors
+    assert type(pooled) is type(serial) and type(serial).__name__ == name
+    assert str(pooled) == str(serial)
+
+
+_ONE_CPU_GUARD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import remotepower.solver as solver
+from remotepower import evaluate_policy, verify_structure
+from test_structure_probes import probe_chain
+
+chain = probe_chain()
+evaluation = evaluate_policy(chain, chain.problem.cost)
+solver._cpu_count = lambda: 1
+rows = verify_structure(chain, evaluation, samples=400, seed=1)
+assert rows[3][2] == "400 probes", rows
+assert "concurrent.futures.process" not in sys.modules, "one CPU loads the pool"
+solver._cpu_count = lambda: 2
+assert verify_structure(chain, evaluation, samples=400, seed=1) == rows
+assert "concurrent.futures.process" in sys.modules, "two CPUs take no pool"
+"""
+
+
+def test_probes_on_one_cpu_load_no_process_pool():
+    # a fresh interpreter: this one may have loaded the pool already
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ)
+    src = os.path.join(here, "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _ONE_CPU_GUARD, here],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
