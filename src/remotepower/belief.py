@@ -434,11 +434,12 @@ class ActionFunction:
             self._pieces = _cell_pieces(grid, radii)
 
     def value_at(self, e: float) -> float:
-        """Rule evaluated at a real innovation (band rule, else nearest node)."""
+        """Rule evaluated at a real innovation (band rule, else the nearest
+        node, a midpoint going up, as the simulator snaps)."""
         if self.bands is not None:
             radii, blevels = self.bands
             return float(blevels[int(np.searchsorted(radii, abs(e), side="right"))])
-        idx = int(round((e + self.geometry.half_width) / self.geometry.spacing))
+        idx = int((e + self.geometry.half_width) / self.geometry.spacing + 0.5)
         idx = min(max(idx, 0), self.geometry.n_points - 1)
         return float(self.values[idx])
 

@@ -312,7 +312,12 @@ def _cmd_verify_structure(args) -> int:
             return EXIT_NOT_CONVERGED
         chain, ev = result.chain, result.evaluation
 
-    rows = verify_structure(chain, ev, samples=args.samples, seed=cfg["simulate"]["base_seed"])
+    try:
+        rows = verify_structure(chain, ev, samples=args.samples, seed=cfg["simulate"]["base_seed"])
+    except ValueError as exc:  # an order radius past the grid; subclasses keep their lines
+        if type(exc) is not ValueError:
+            raise
+        raise ConfigError(str(exc)) from exc
     ok = _print_table(rows)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 

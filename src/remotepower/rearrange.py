@@ -21,7 +21,8 @@ Every function here works on one belief or one pair of beliefs, and
 verify_structure's probes call them one probe at a time, in the calling
 process or in forked pool workers.  A probe's draws for its relation pair
 are made by _relation_pair_draws alone, so the caller can move a generator
-past a chunk of probes without building their beliefs.  Only the
+past a chunk of probes without building their beliefs; the radius it is
+given lies inside the grid, so none of those draws fails.  Only the
 rearrangement keeps a (rows, points) form underneath, of which
 symmetric_decreasing_rearrangement is the one-row case.
 """

@@ -27,15 +27,16 @@ gain at once.
 public functions: each draws a relation pair with ``random_relation_pair``,
 a threshold rule and a gain, and rewrites the rule with
 ``rearranged_action``.  A cost probe is two ``stage_cost`` calls; an order
-probe is two ``propagate`` calls and one ``relation_R`` call.  With
-``_POOL_MIN_PROBES`` probes a pass or more, in a process that may use more
-than one CPU, the passes are scored by one pool of forked worker processes,
-one per CPU, in contiguous chunks handed out before the rule-shape check
-and the structure witness run, which then overlap the probes.  The caller
-still makes every draw in order, so each probe and the generator's final
-state are those of the serial loop.  The first probe that fails, in probe
-order, raises its error.  Each pass logs its probe count, worker count and
-seconds to the ``remotepower.solver`` logger at INFO.
+probe is two ``propagate`` calls and one ``relation_R`` call.  The radii the
+probes are drawn inside are fixed, inside the grid, before any draw, so no
+draw fails.  With ``_POOL_MIN_PROBES`` probes a pass or more, in a process
+that may use more than one CPU, the passes are scored by one pool of forked
+worker processes, one per CPU, in contiguous chunks handed out before the
+rule-shape check and the structure witness run, which then overlap the
+probes.  The caller still makes every draw in order, so each probe and the
+generator's final state are those of the serial loop.  The first probe
+that fails, in probe order, raises its error.  Each pass logs its probe
+count, worker count and seconds to the ``remotepower.solver`` logger at INFO.
 
 ``solve`` and ``solve_discounted`` hold one tree at a time: each round's
 chain, and with it the tree's array, is dropped once its improvement sweep
@@ -766,7 +767,8 @@ def _rules_signature(policy: PowerPolicy) -> tuple:
 
 @dataclass
 class SolveResult:
-    """Best policy found by alternating chain builds and improvement sweeps.
+    """Best policy found by alternating chain builds and improvement sweeps
+    from the max-power start `solve` shares with `solve_discounted` (_start).
 
     ``chain`` is the best policy's chain.  When the loop ended on a repeated
     rule set or on ``max_rounds``, it is the chain `solve` still held.  When
@@ -814,14 +816,7 @@ def solve(
     held at a time (see ``SolveResult`` for when its ``chain`` is rebuilt).
     Raises ValueError unless `max_rounds` is an integer >= 1.
     """
-    if not (_is_int(max_rounds) and max_rounds >= 1):
-        raise ValueError(f"max_rounds must be an integer >= 1, got {max_rounds!r}")
-    grid = (
-        threshold_grid(problem.actions.saturation_radius, threshold_points)
-        if threshold_points is not None
-        else None
-    )
-    policy: PowerPolicy = PowerPolicy.max_power(problem.actions, geometry)
+    grid, policy = _start(problem, geometry, max_rounds, threshold_points)
     best: tuple[PowerPolicy, EvaluationResult] | None = None
     chain: UnfoldedChain | None = None
     history: list[float] = []
@@ -829,12 +824,7 @@ def solve(
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         chain = None  # the last round's tree goes before this round's is built
-        try:
-            chain = build_chain(problem, geometry, policy, depth)
-        except SupportOverflowError as err:
-            if rounds > 1:
-                raise
-            raise _start_overflow(problem, depth, err) from err
+        chain = _round_chain(problem, geometry, policy, depth, rounds)
         ev = evaluate_policy(chain, problem.cost)
         history.append(ev.rho)
         if best is not None and ev.rho >= best[1].rho - tol_rho:
@@ -866,12 +856,25 @@ def solve(
     )
 
 
-def _start_overflow(
-    problem: ControlProblem, depth: int, err: SupportOverflowError
-) -> SupportOverflowError:
-    """`err`, raised by the chain of the max-power start that `solve` and
-    `solve_discounted` share, with its cause and a half width that fits that
-    chain.
+def _start(
+    problem: ControlProblem, geometry: GridGeometry, max_rounds: int, threshold_points: int | None
+) -> tuple[np.ndarray | None, PowerPolicy]:
+    """The start `solve` and `solve_discounted` share: the switch grid of
+    `threshold_points` radii (None without it) and the max-power policy.
+    Raises ValueError unless `max_rounds` is an integer >= 1."""
+    if not (_is_int(max_rounds) and max_rounds >= 1):
+        raise ValueError(f"max_rounds must be an integer >= 1, got {max_rounds!r}")
+    L = problem.actions.saturation_radius
+    grid = None if threshold_points is None else threshold_grid(L, threshold_points)
+    return grid, PowerPolicy.max_power(problem.actions, geometry)
+
+
+def _round_chain(
+    problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy, depth: int, rounds: int
+) -> UnfoldedChain:
+    """build_chain of round `rounds`'s policy.  A SupportOverflowError in
+    round 1, the max-power start, names that start as its cause and a half
+    width that fits its chain.
 
     Under max power a miss does not condition the belief, so the belief at
     level `depth` is Gaussian with variance W * sum_{j=0..depth} a^(2j).  The
@@ -879,17 +882,22 @@ def _start_overflow(
     7 on the tiny config, +-ceil(z*sd) for a tail of SUPPORT_OVERFLOW_TOL
     still overflows), so the width named leaves half of that tolerance out.
     """
-    from statistics import NormalDist
+    try:
+        return build_chain(problem, geometry, policy, depth)
+    except SupportOverflowError as err:
+        if rounds > 1:
+            raise
+        from statistics import NormalDist
 
-    a2 = problem.process.a ** 2
-    sd = math.sqrt(problem.process.noise_var * sum(a2**j for j in range(depth + 1)))
-    z = NormalDist().inv_cdf(1.0 - SUPPORT_OVERFLOW_TOL / 4.0)
-    return SupportOverflowError(
-        f"{err}; the cause is the solver's max-power start, under which a miss does not "
-        f"condition the belief: the depth-{depth} belief is Gaussian with sd {sd:.4g}, "
-        f"and half_width >= {math.ceil(z * sd)} leaves half of the {SUPPORT_OVERFLOW_TOL:g} "
-        "tolerance outside the grid"
-    )
+        a2 = problem.process.a ** 2
+        sd = math.sqrt(problem.process.noise_var * sum(a2**j for j in range(depth + 1)))
+        z = NormalDist().inv_cdf(1.0 - SUPPORT_OVERFLOW_TOL / 4.0)
+        raise SupportOverflowError(
+            f"{err}; the cause is the solver's max-power start, under which a miss does not "
+            f"condition the belief: the depth-{depth} belief is Gaussian with sd {sd:.4g}, "
+            f"and half_width >= {math.ceil(z * sd)} leaves half of the {SUPPORT_OVERFLOW_TOL:g} "
+            "tolerance outside the grid"
+        ) from err
 
 
 @dataclass
@@ -929,7 +937,8 @@ def solve_discounted(
     max_rounds: int = 200,
     threshold_points: int | None = None,
 ) -> DiscountedResult:
-    """Policy iteration for the beta-discounted total cost from time zero.
+    """Policy iteration for the beta-discounted total cost from time zero,
+    from the max-power start and round build of `solve` (_start, _round_chain).
 
     Each round solves (I - beta P) V = c exactly, so on convergence the
     discounted Bellman residual is at the linear solver's precision rather
@@ -945,14 +954,7 @@ def solve_discounted(
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly between 0 and 1")
-    if not (_is_int(max_rounds) and max_rounds >= 1):
-        raise ValueError(f"max_rounds must be an integer >= 1, got {max_rounds!r}")
-    grid = (
-        threshold_grid(problem.actions.saturation_radius, threshold_points)
-        if threshold_points is not None
-        else None
-    )
-    candidate: PowerPolicy = PowerPolicy.max_power(problem.actions, geometry)
+    grid, candidate = _start(problem, geometry, max_rounds, threshold_points)
     chain: UnfoldedChain | None = None
     values = np.zeros(0)
     converged = False
@@ -961,12 +963,7 @@ def solve_discounted(
     for rounds in range(1, max_rounds + 1):
         # the last round's tree goes before this round's is built
         policy, chain = candidate, None
-        try:
-            chain = build_chain(problem, geometry, policy, depth)
-        except SupportOverflowError as err:
-            if rounds > 1:
-                raise
-            raise _start_overflow(problem, depth, err) from err
+        chain = _round_chain(problem, geometry, policy, depth, rounds)
         values = discounted_policy_values(chain, problem.cost, beta)
         signature = _rules_signature(policy)
         if signature in seen:
@@ -1055,30 +1052,11 @@ def _rule_draws(problem: ControlProblem, rng: np.random.Generator) -> tuple[np.n
     return radii, float(rng.choice(problem.channel.gains))
 
 
-def _probes(
-    problem: ControlProblem, geometry: GridGeometry, rng: np.random.Generator,
-    max_radius: float, count: int,
-) -> Iterator[tuple[BeliefGrid, BeliefGrid, ActionFunction, ActionFunction, float]]:
-    """`count` randomized structure probes, drawn one at a time from `rng`.
-
-    Each is a relation pair (theta, its rearrangement theta_hat) differing
-    inside `max_radius`, a threshold rule with sorted uniform switch radii, its
-    rearranged twin, and a channel gain; the draws go pair, radii, gain.
-    """
-    for _ in range(count):
-        theta, theta_hat = random_relation_pair(geometry, rng, max_radius=max_radius)
-        radii, gain = _rule_draws(problem, rng)
-        action = ThresholdAction(tuple(float(r) for r in radii)).as_action(
-            geometry, problem.actions
-        )
-        yield theta, theta_hat, action, rearranged_action(action, theta, theta_hat), gain
-
-
 def _skip_probes(
     problem: ControlProblem, geometry: GridGeometry, rng: np.random.Generator,
     max_radius: float, count: int,
 ) -> None:
-    """Move `rng` past the draws of `count` probes, as _probes leaves it,
+    """Move `rng` past the draws of `count` probes, as _scored leaves it,
     with no belief work."""
     for _ in range(count):
         _relation_pair_draws(geometry, rng, max_radius)
@@ -1108,10 +1086,24 @@ def _scored(
     score: Callable, problem: ControlProblem, geometry: GridGeometry,
     rng: np.random.Generator, max_radius: float, count: int,
 ) -> list:
-    """`score` of each of `count` probes drawn from `rng`, in order; the
-    first probe that fails raises its error."""
-    probes = _probes(problem, geometry, rng, max_radius, count)
-    return [score(problem, *probe) for probe in probes]
+    """`score` of each of `count` probes, drawn from `rng` one at a time and
+    scored in order; the first probe that fails raises its error.
+
+    A probe is a relation pair (theta, its rearrangement theta_hat)
+    differing inside `max_radius`, a threshold rule with sorted uniform
+    switch radii, its rearranged twin, and a channel gain; the draws go
+    pair, radii, gain.
+    """
+    scores = []
+    for _ in range(count):
+        theta, theta_hat = random_relation_pair(geometry, rng, max_radius=max_radius)
+        radii, gain = _rule_draws(problem, rng)
+        action = ThresholdAction(tuple(float(r) for r in radii)).as_action(
+            geometry, problem.actions
+        )
+        twin = rearranged_action(action, theta, theta_hat)
+        scores.append(score(problem, theta, theta_hat, action, twin, gain))
+    return scores
 
 
 @contextlib.contextmanager
@@ -1120,8 +1112,9 @@ def _probe_passes(
     count: int,
 ) -> Iterator[Iterator[list]]:
     """Probe passes of `count` probes each, drawn from `rng` one pass after
-    another; a pass is (score, max_radius).  Yields an iterator of each
-    pass's scores, in pass order.
+    another; a pass is (score, max_radius), with max_radius inside the grid,
+    so no draw fails.  Yields an iterator of each pass's scores, in pass
+    order.
 
     The passes are scored in this process as the iterator reaches them, or,
     when the process may use more than one CPU and `count` is at least
@@ -1157,32 +1150,20 @@ def _probe_passes(
     if pool is None:
         yield scored(None)
         return
-    try:
-        yield scored(_submit_passes(pool, problem, geometry, rng, passes, count, workers))
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _submit_passes(pool, problem, geometry, rng, passes, count, workers) -> list[list]:
-    """Every chunk of every pass handed to the pool, in order, as one list
-    of futures per pass.  Each chunk gets a copy of `rng` at its start, and
-    `rng` moves past the chunk's draws.  A draw that fails stops the handing
-    out: the chunk it falls in, already handed out, fails at the same
-    probe."""
     n_chunks = min(count, workers * _CHUNKS_PER_WORKER)
     cuts = [count * k // n_chunks for k in range(n_chunks + 1)]
-    chunks: list[list] = [[] for _ in passes]
-    for (score, max_radius), futures in zip(passes, chunks):
-        for lo, hi in zip(cuts, cuts[1:]):
-            # a copy: the pool pickles the job later, on its own thread
-            futures.append(pool.submit(
-                _scored, score, problem, geometry, copy.deepcopy(rng), max_radius, hi - lo
-            ))
-            try:
+    try:
+        chunks: list[list] = [[] for _ in passes]
+        for (score, max_radius), futures in zip(passes, chunks):
+            for lo, hi in zip(cuts, cuts[1:]):
+                # a copy: the pool pickles the job later, on its own thread
+                futures.append(pool.submit(
+                    _scored, score, problem, geometry, copy.deepcopy(rng), max_radius, hi - lo
+                ))
                 _skip_probes(problem, geometry, rng, max_radius, hi - lo)
-            except ValueError:
-                return chunks
-    return chunks
+        yield scored(chunks)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _cost_margins(chain: UnfoldedChain, rng: np.random.Generator, count: int) -> list[float]:
@@ -1211,7 +1192,8 @@ def verify_structure(
     from one generator seeded with `seed`, of the rearrangement's cost order
     and of the belief order across a failed transmission.  Raises ValueError
     unless `samples` is an integer >= 1 and `seed` is None or an integer
-    >= 0 (a bool is neither).
+    >= 0 (a bool is neither), and, after the cost probes, when the order
+    probes' radius is not inside the grid.
     """
     if not (_is_int(samples) and samples >= 1):
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
@@ -1222,14 +1204,17 @@ def verify_structure(
     # Differences between the pair must stay clear of the saturation boundary:
     # the plant stretch plus the noise kernel leaks interior differences past L,
     # so the tail-equality clause survives one update only for pairs differing
-    # inside (L - 6*sigma_w)/a.
+    # inside (L - 6*sigma_w)/a.  A radius past the grid is refused after the
+    # cost probes, and no order probe is drawn.
     order_radius = (L - 6.0 * problem.process.noise_var**0.5) / abs(problem.process.a)
+    half_width = chain.geometry.half_width
     passes = [(_cost_margin, L)]
     if order_radius >= 10.0 * chain.geometry.spacing:
         passes.append((_order_verdict, order_radius))
+    probed = passes if order_radius < half_width else passes[:1]
     rng = np.random.default_rng(seed)
     # a pool scores the probes while this process checks the rules
-    with _probe_passes(chain, rng, passes, samples) as scores:
+    with _probe_passes(chain, rng, probed, samples) as scores:
         inner = np.flatnonzero(~np.repeat(chain.tail_mask | chain.virtual_mask, chain.n_gains))
         reports = [check_symmetric_monotone(chain.actions[s]) for s in inner]
         bad = [r for r in reports if not r]
@@ -1252,6 +1237,9 @@ def verify_structure(
             worst >= -COST_ORDER_TOL,
             f"{samples} probes, worst margin {worst:.3e}",
         ))
+        if len(probed) < len(passes):
+            raise ValueError(f"the order probes' radius (L - 6 sigma_w) / |a| = {order_radius:g} "
+                             f"is not inside the grid's half width {half_width:g}")
         verdicts = next(scores, None)
 
     name = "belief order survives a failed transmission"

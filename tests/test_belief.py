@@ -146,6 +146,15 @@ def test_banded_action_samples_higher_level_at_switch():
     assert a.value_at(100.0) == 4.0
 
 
+@pytest.mark.parametrize("e, node", [(0.05, 201), (-19.75, 3)])
+def test_a_node_rule_reads_the_node_the_simulator_snaps_to(e, node):
+    # (e + 20) / 0.1 lands on a midpoint, which the simulator snaps up
+    geometry = GridGeometry(half_width=20.0, n_points=401)
+    rule = ActionFunction(np.arange(401.0), ACTS, geometry, enforce=False)
+    assert int((e + geometry.half_width) / geometry.spacing + 0.5) == node
+    assert rule.value_at(e) == float(node)
+
+
 def test_success_prob_zero_inside_saturation():
     theta = gaussian_grid(0.0, 1.0, GEOM)
     sleep = banded_action([6.0], [0.0, 4.0], ACTS, GEOM)

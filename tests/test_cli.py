@@ -740,3 +740,15 @@ def test_an_impossible_depth_is_one_error_line(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     err = _assert_one_line_input_error(run(["solve", str(path)]), capsys)
     assert err.startswith("error: the failure-history tree of depth 40 has 2199023255551 nodes")
+
+
+@pytest.mark.filterwarnings("ignore:.*process is not unstable")
+def test_an_order_probe_radius_past_the_grid_is_one_config_error(tmp_path, capsys):
+    # (L - 6 sigma_w) / |a| = (12 - 6) / 0.25 = 24 on a +-20 grid
+    cfg = {"process": {"a": 0.25, "noise_var": 1.0},
+           "actions": {"levels": [0, 4], "saturation_radius": 12},
+           "grid": {"half_width": 20, "n_points": 401}}
+    path = tmp_path / "contracting.json"
+    path.write_text(json.dumps(cfg))
+    err = _assert_one_line_input_error(run(["verify-structure", str(path)]), capsys)
+    assert err.startswith("config error: ") and "= 24 " in err and "half width 20" in err

@@ -311,6 +311,21 @@ def test_verify_structure_raises_the_same_error_with_the_pool(case, monkeypatch)
     assert str(pooled) == str(serial)
 
 
+@pytest.mark.filterwarnings("ignore:.*process is not unstable")
+def test_an_order_radius_past_the_grid_is_named_with_the_half_width(monkeypatch):
+    import remotepower.solver as solver
+
+    chain = probe_chain(a=0.25, saturation_radius=12.0)
+    evaluation = evaluate_policy(chain, chain.problem.cost)
+    monkeypatch.setattr(solver, "_POOL_MIN_PROBES", 1)
+    for cpus in (1, 2):
+        monkeypatch.setattr(solver, "_cpu_count", lambda cpus=cpus: cpus)
+        with pytest.raises(ValueError, match=r"radius .* = 24 .*half width 20$") as err:
+            verify_structure(chain, evaluation, samples=40, seed=1)
+        assert type(err.value) is ValueError
+        assert multiprocessing.active_children() == []
+
+
 _ONE_CPU_GUARD = """
 import sys
 sys.path.insert(0, sys.argv[1])
