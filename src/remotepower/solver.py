@@ -8,20 +8,20 @@ belief recursion with the gain process and policy evaluation reduces to sparse
 linear algebra on it.
 
 Beliefs and rules come from one failure-history tree per policy, filled one
-level at a time on demand: the chain build reads every node of it, and the
-Monte Carlo simulator reads the nodes a rollout visits (asking for a node
-fills its whole level).  Only the tree knows its shape; both readers walk its
-integer node ids.  The tree keeps its beliefs as the rows of one
-(nodes, points) array and steps each level itself: a level's nodes are one
-run of rows, which go through the batched belief step straight into the
-array in blocks of ``belief._BLOCK_ROWS`` rows taken off one queue.  When
-the process may use two CPUs and the level has more than one block, a
-worker thread, kept for the life of the process, takes blocks beside the
-calling thread.  Each rule the policy holds is expanded once per tree, and
-rules and their success vectors are made on the calling thread before any
-block is stepped.  Policy improvement and the structure witness read one
-greedy pass, which takes the ring minimum of ``_BLOCK_ROWS`` states at one
-gain at once.
+level at a time on demand: the chain build reads every node of it, a whole
+level at a time, and the Monte Carlo simulator asks for the nodes a rollout
+visits, which the tree steps with their ancestors and no other node.  Only
+the tree knows its shape; both readers walk its integer node ids.  The tree
+keeps its beliefs as the rows of one (nodes, points) array and steps each
+level's rows itself, through the batched belief step in blocks of
+``belief._BLOCK_ROWS`` rows taken off one queue; a whole level is one run
+of rows, stepped straight into the array.  When the process may use two
+CPUs and the level has more than one block, a worker thread, kept for the
+life of the process, takes blocks beside the calling thread.  Each rule the
+policy holds is expanded once per tree, and rules and their success vectors
+are made on the calling thread before any block is stepped.  Policy
+improvement and the structure witness read one greedy pass, which takes the
+ring minimum of ``_BLOCK_ROWS`` states at one gain at once.
 
 ``verify_structure``'s randomized probes go one at a time through the
 public functions: each draws a relation pair with ``random_relation_pair``,
@@ -60,6 +60,7 @@ import os
 import threading
 import time
 import warnings
+from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -261,15 +262,17 @@ class _HistoryTree:
     is the policy's rule, or full power at the cap; each rule the policy
     holds is expanded once and shared, keyed by the rule (a table by the
     policy's own array), so the policy must not change while its tree lives.
-    Asking for a belief fills every level down to the node's; beliefs are
-    the rows of one (nodes, points) array the tree owns, handed out as
-    views.  A level's nodes are one run of rows, stepped from their parents'
-    rows in blocks of ``_BLOCK_ROWS`` rows by the calling thread and, when
-    the process may use two CPUs and the level has more than one block, by
-    the step worker too.  A child whose step fails stores its error, which
-    is raised again for that node and for every node below it; its siblings
-    go on.  A failed node's children are stepped with the rest and then take
-    its error.  The policy must be built on the tree's grid.
+    Beliefs are the rows of one (nodes, points) array the tree owns, handed
+    out as views.  ``fill`` steps the rows asked for and their ancestors, a
+    level at a time; asking ``belief_at`` for a belief fills every row of
+    the levels down to the node's.  A level's rows are stepped from their
+    parents' rows in blocks of ``_BLOCK_ROWS`` rows by the calling thread
+    and, when the process may use two CPUs and the level has more than one
+    block, by the step worker too; a whole level is one run of rows, stepped
+    straight into the array.  A child whose step fails stores its error,
+    which is raised again for that node and for every node below it; its
+    siblings go on.  A failed node's children are stepped with the rest and
+    then take its error.  The policy must be built on the tree's grid.
     """
 
     def __init__(
@@ -309,7 +312,8 @@ class _HistoryTree:
         )
         self._expanded: dict[ThresholdAction | int, ActionFunction] = {}
         self._weights[0] = self.root.weights
-        self._filled = 1
+        self._have = np.zeros(n_nodes, dtype=bool)
+        self._have[0] = True
         self._errors: dict[int, ValueError] = {}
 
     def action(self, node: NodeKey, g: int) -> ActionFunction:
@@ -329,21 +333,42 @@ class _HistoryTree:
         return got
 
     def belief_at(self, i: int) -> BeliefGrid:
-        while self._filled <= i:
-            self._fill_next_level()
+        if not self._have[i]:
+            end = 1  # rows 0 .. end - 1 are the levels down to node i's
+            while end <= i:
+                end = self.n_gains * end + 1
+            self.fill(range(end))
         if i in self._errors:
             raise self._errors[i]
         return BeliefGrid._view(self.geometry, self._weights[i])
 
-    def _fill_next_level(self) -> None:
+    def fill(self, rows) -> None:
+        """Step the beliefs of the nodes `rows` and of those of their
+        ancestors that are not filled yet, one level at a time from the top;
+        no other row is stepped."""
+        G = self.n_gains
+        need = np.unique(np.asarray(rows, dtype=np.intp))
+        parts = []
+        while (need := need[~self._have[need]]).size:
+            parts.append(need)
+            need = np.unique((need - 1) // G)
+        if not parts:
+            return
+        todo = np.unique(np.concatenate(parts)).tolist()
+        lo, start = 0, 1
+        while lo < len(todo):
+            start = G * start + 1  # the first node of the next level
+            hi = bisect_left(todo, start, lo)
+            if hi > lo:
+                self._fill_level(todo[lo:hi])
+            lo = hi
+
+    def _fill_level(self, rows: list[int]) -> None:
         G, gains = self.n_gains, self.problem.channel.gains
-        n = self._filled
-        # nodes n .. G * n are the children of nodes (n - 1) // G .. n - 1, in
-        # order; rules and their success vectors are made here, so the steps
-        # only read
+        # rules and their success vectors are made here, so the steps only read
         vectors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         succ, fail = [], []
-        for c in range(n, G * n + 1):
+        for c in rows:
             parent, g = divmod(c - 1, G)
             action = self.action_at(parent, g)
             # an id() names one action only while it lives; _expanded keeps each alive
@@ -353,38 +378,42 @@ class _HistoryTree:
             succ.append(vectors[key][0])
             fail.append(vectors[key][1])
         blocks = SimpleQueue()
-        for lo in range(0, len(succ), _BLOCK_ROWS):
-            blocks.put((n + lo, succ[lo : lo + _BLOCK_ROWS], fail[lo : lo + _BLOCK_ROWS]))
-        if len(succ) > _BLOCK_ROWS and _cpu_count() > 1:
+        for lo in range(0, len(rows), _BLOCK_ROWS):
+            blocks.put((rows[lo : lo + _BLOCK_ROWS], succ[lo : lo + _BLOCK_ROWS],
+                        fail[lo : lo + _BLOCK_ROWS]))
+        if len(rows) > _BLOCK_ROWS and _cpu_count() > 1:
             other = _step_worker().submit(self._step_blocks, blocks)
             self._step_blocks(blocks)
             other.result()
         else:
             self._step_blocks(blocks)
         # a failed node's row is finite, so its children were stepped with the rest
-        for c in range(n, G * n + 1):
+        for c in rows:
             err = self._errors.get((c - 1) // G)
             if err is not None:
                 self._errors[c] = err
-        self._filled = G * n + 1
+        self._have[rows] = True
 
     def _step_blocks(self, blocks: SimpleQueue) -> None:
         """Step the level's blocks off the queue until it is empty, each
-        block's rows straight into the tree's array.  A thread takes the next
-        block when it is done with one, so a thread that gets less of a CPU
-        steps fewer blocks."""
+        block's rows into the tree's array, straight when they are one run
+        of rows.  A thread takes the next block when it is done with one, so
+        a thread that gets less of a CPU steps fewer blocks."""
         while True:
             try:
-                lo, succ, fail = blocks.get_nowait()
+                rows, succ, fail = blocks.get_nowait()
             except Empty:
                 return
-            hi = lo + len(succ)
+            lo, hi = rows[0], rows[-1] + 1
+            run = hi - lo == len(rows)
+            out = self._weights[lo:hi] if run else np.empty((len(rows), self.geometry.n_points))
             errors = _step_rows(
                 self.geometry, self.problem.process,
-                self._weights[(np.arange(lo, hi) - 1) // self.n_gains], succ, fail,
-                self._weights[lo:hi],
+                self._weights[(np.asarray(rows) - 1) // self.n_gains], succ, fail, out,
             )
-            self._errors.update({lo + r: err for r, err in enumerate(errors) if err is not None})
+            if not run:
+                self._weights[rows] = out
+            self._errors.update({rows[r]: err for r, err in enumerate(errors) if err is not None})
 
 
 def build_chain(
@@ -774,8 +803,8 @@ class SolveResult:
     rule set or on ``max_rounds``, it is the chain `solve` still held.  When
     the last round was rejected, `solve` had dropped the best policy's chain
     before building the rejected one, and the first read of ``chain`` builds
-    it again with ``build_chain``; the build is deterministic, so the chain
-    matches the dropped one bit for bit.
+    it again with ``build_chain``, with no second stability warning; the
+    build is deterministic, so the chain matches the dropped one bit for bit.
     """
 
     policy: PowerPolicy
@@ -852,7 +881,7 @@ def solve(
         tail_occupancy=ev.tail_occupancy,
         converged=converged,
         evaluation=ev,
-        _chain=chain or partial(build_chain, problem, geometry, policy, depth),
+        _chain=chain or partial(_build_quietly, problem, geometry, policy, depth),
     )
 
 
@@ -869,12 +898,24 @@ def _start(
     return grid, PowerPolicy.max_power(problem.actions, geometry)
 
 
+def _build_quietly(
+    problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy, depth: int
+) -> UnfoldedChain:
+    """build_chain with its stability warnings silenced, for a problem that
+    the solve's first round has warned about."""
+    with warnings.catch_warnings():
+        # both warnings are reported from this module's frames
+        warnings.filterwarnings("ignore", category=UserWarning, module=__name__)
+        return build_chain(problem, geometry, policy, depth)
+
+
 def _round_chain(
     problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy, depth: int, rounds: int
 ) -> UnfoldedChain:
-    """build_chain of round `rounds`'s policy.  A SupportOverflowError in
-    round 1, the max-power start, names that start as its cause and a half
-    width that fits its chain.
+    """build_chain of round `rounds`'s policy; only round 1 warns about the
+    problem's stability.  A SupportOverflowError in round 1, the max-power
+    start, names that start as its cause and a half width that fits its
+    chain.
 
     Under max power a miss does not condition the belief, so the belief at
     level `depth` is Gaussian with variance W * sum_{j=0..depth} a^(2j).  The
@@ -882,8 +923,9 @@ def _round_chain(
     7 on the tiny config, +-ceil(z*sd) for a tail of SUPPORT_OVERFLOW_TOL
     still overflows), so the width named leaves half of that tolerance out.
     """
+    build = build_chain if rounds == 1 else _build_quietly
     try:
-        return build_chain(problem, geometry, policy, depth)
+        return build(problem, geometry, policy, depth)
     except SupportOverflowError as err:
         if rounds > 1:
             raise

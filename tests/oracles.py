@@ -6,12 +6,18 @@ the package's precomputed piece arrays, hand-solved stationary distributions
 instead of sparse eigenproblems, finite-horizon dynamic programming instead
 of policy iteration, and brute-force enumeration instead of greedy
 improvement.  Where package and oracle agree, the agreement
-is meaningful because they share nothing but the problem definition.
+is meaningful because they share nothing but the problem definition.  The
+one exception is `simulate_per_step`, the rollout as a loop over its steps,
+which reads its rules and beliefs from the package's failure-history tree
+as the array rollout does.
 """
 
 from __future__ import annotations
 
+import csv
+import logging
 import math
+from contextlib import nullcontext
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -22,7 +28,9 @@ from scipy.signal import fftconvolve
 from remotepower import (
     ActionFunction,
     BeliefGrid,
+    ControlProblem,
     DegenerateSuccessError,
+    GridGeometry,
     PowerPolicy,
     SupportOverflowError,
     ThresholdAction,
@@ -42,11 +50,24 @@ from remotepower.belief import (
     SUPPORT_OVERFLOW_TOL,
     _clipped_totals,
     _condition_rows,
+    _failure_center,
     _grid_arrays,
+    _level_success,
     _normalize_rows,
+    mean as belief_mean,
 )
+from remotepower.model import _is_int
 from remotepower.policy import max_power_action
-from remotepower.simulator import STREAM_CHANNEL
+from remotepower.simulator import (
+    STREAM_CHANNEL,
+    STREAM_NOISE,
+    STREAM_RECEPTION,
+    TrajectoryMetrics,
+    _generator,
+    estimate_belief_mean,
+    estimate_closed_form,
+)
+from remotepower.solver import _HistoryTree
 
 
 def q_of(reception, u: float, gain: float) -> float:
@@ -564,3 +585,216 @@ def reachable_states_dfs(P: sp.csr_matrix, seeds) -> np.ndarray:
             seen[s] = True
             stack.extend(int(t) for t in P.indices[P.indptr[s] : P.indptr[s + 1]])
     return np.flatnonzero(seen)
+
+
+# ---------------------------------------------------------------------------
+# the rollout one step at a time
+
+_rollout_logger = logging.getLogger("oracles.rollout")
+
+
+class PerStepMemo:
+    """Per-state rollout quantities read off one failure-history tree, filled
+    one state at a time as `simulate_per_step` first visits it.
+
+    rows[i * G + g] holds the rule's power and success probability per grid
+    node, the innovation mean at tree node i, the failure-branch centre at
+    (i, g) and the node a failure leads to.  The mean and the centre stay zero
+    for the closed-form estimator, and from a node whose belief propagation
+    failed.  One memo serves every replication a process runs.
+    """
+
+    def __init__(self, problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy,
+                 depth: int, centred: bool):
+        self.tree = _HistoryTree(problem, geometry, policy, depth)
+        self.centred = centred
+        self.rows: list[tuple | None] = [None] * (len(self.tree.nodes) * self.tree.n_gains)
+        self._warned: set[ValueError] = set()
+
+    def fill(self, s: int) -> tuple[np.ndarray, np.ndarray, float, float, int]:
+        tree = self.tree
+        i, g = divmod(s, tree.n_gains)
+        action = tree.action_at(i, g)
+        q = _level_success(action, tree.problem.reception, tree.problem.channel.gains[g])
+        inn_mean = centre = 0.0
+        if self.centred:
+            try:
+                theta = tree.belief_at(i)
+            except (SupportOverflowError, DegenerateSuccessError) as exc:
+                # the tree raises one error for a node and all its descendants
+                if exc not in self._warned:
+                    self._warned.add(exc)
+                    _rollout_logger.warning(
+                        "belief propagation failed at failure history %s (%s); "
+                        "falling back to closed-form estimates from here on",
+                        tree.nodes[i], exc)
+            else:
+                inn_mean, centre = belief_mean(theta), _failure_center(theta, q)
+        entry = self.rows[s] = (action.values, q, inn_mean, centre, int(tree.child[i, g]))
+        return entry
+
+
+def simulate_per_step(
+    problem: ControlProblem,
+    geometry: GridGeometry,
+    policy: PowerPolicy,
+    estimator_mode: str,
+    horizon: int,
+    seed: int,
+    *,
+    depth: int = 8,
+    replication: int = 0,
+    window: int = 100_000,
+    trace_path: str | None = None,
+    trace_comment: list[str] | None = None,
+    _memo: PerStepMemo | None = None,
+) -> TrajectoryMetrics:
+    """`remotepower.simulate` as a loop over the steps: each step snaps the
+    innovation to the grid, reads the rule and belief of its state, draws
+    the outcome and adds its terms to every running sum.
+
+    estimator_mode "closed_form" centers the error cost at zero; "belief_mean"
+    centers it at the conditional failure-branch mean and additionally tracks
+    the worst gap between the two estimators.  Randomness comes from three
+    counter-based streams (noise, channel, reception) derived from
+    (seed, replication), so runs are reproducible regardless of scheduling.
+    `_memo` lets replications in one process share the per-state quantities.
+    """
+    if estimator_mode not in ("closed_form", "belief_mean"):
+        raise ValueError("estimator_mode must be 'closed_form' or 'belief_mean'")
+    if not (_is_int(horizon) and horizon >= 1):
+        raise ValueError(f"horizon must be an integer >= 1, got {horizon!r}")
+    if not (_is_int(window) and window >= 1):
+        raise ValueError(f"window must be an integer >= 1, got {window!r}")
+    channel = problem.channel
+    process = problem.process
+    G = len(channel.gains)
+    centred = estimator_mode == "belief_mean"
+    memo = _memo if _memo is not None else PerStepMemo(problem, geometry, policy, depth, centred)
+    rows = memo.rows
+    n_inner = memo.tree.n_inner
+    E = geometry.half_width
+    dx = geometry.spacing
+    n_pts = geometry.n_points
+
+    noise_gen = _generator(seed, replication, STREAM_NOISE)
+    chan_gen = _generator(seed, replication, STREAM_CHANNEL)
+    rec_gen = _generator(seed, replication, STREAM_RECEPTION)
+    x0 = float(noise_gen.normal(0.0, math.sqrt(process.init_var)))
+    w = noise_gen.normal(0.0, math.sqrt(process.noise_var), horizon + 1)
+    u_chan = chan_gen.random(horizon + 1)
+    u_rec = rec_gen.random(horizon + 1)
+
+    # next_gain[h][k]: the gain after step k from gain h
+    next_gain = [np.minimum(np.searchsorted(row, u_chan, side="right"), G - 1).tolist()
+                 for row in np.cumsum(np.asarray(channel.transition), axis=1)]
+
+    alpha = problem.cost.alpha
+    i = 0
+    g = channel.initial_gain_index
+    e = float(w[0])
+    x = x0
+    x_last = x0
+    steps_since = 1
+
+    cost_sum = 0.0
+    power_sum = 0.0
+    error_sum = 0.0
+    successes = 0
+    gain_counts = [0] * G
+    root_att = [0] * G
+    root_suc = [0] * G
+    tail_steps = 0
+    max_gap = 0.0 if centred else None
+    windows: list[float] = []
+    win_err = 0.0
+    win_count = 0
+
+    trace = open(trace_path, "w", newline="") if trace_path is not None else nullcontext()
+    with trace as trace_file:
+        writer = None
+        if trace_file is not None:
+            for line in trace_comment or ():
+                trace_file.write(f"# {line}\n")
+            writer = csv.writer(trace_file)
+            writer.writerow(
+                ["k", "x", "x_hat_closed", "x_hat_belief", "e", "u", "h",
+                 "gamma", "power_cost", "error_cost"]
+            )
+
+        for k in range(1, horizon + 1):
+            gain_counts[g] += 1
+            if i >= n_inner:
+                tail_steps += 1
+            values, q_node, inn_mean, center, fail_child = rows[i * G + g] or memo.fill(i * G + g)
+            idx = int((e + E) / dx + 0.5)
+            if idx < 0:
+                idx = 0
+            elif idx >= n_pts:
+                idx = n_pts - 1
+            u = float(values[idx])
+            q = float(q_node[idx])
+            received = u_rec[k] < q
+
+            if centred and abs(inn_mean) > max_gap:
+                max_gap = abs(inn_mean)
+
+            if i == 0:
+                root_att[g] += 1
+                if received:
+                    root_suc[g] += 1
+
+            err_term = 0.0 if received else (e - center) ** 2
+            cost_sum += alpha * u + err_term
+            power_sum += u
+            error_sum += err_term
+            win_err += err_term
+            win_count += 1
+            if win_count == window:
+                windows.append(win_err / window)
+                win_err = 0.0
+                win_count = 0
+
+            if writer is not None:
+                if received:
+                    x_hat_closed = x
+                    x_hat_belief = x
+                else:
+                    x_hat_closed = estimate_closed_form(process, x_last, steps_since)
+                    x_hat_belief = estimate_belief_mean(process, x_last, steps_since, inn_mean)
+                writer.writerow(
+                    [k, repr(x), repr(x_hat_closed), repr(x_hat_belief), repr(e),
+                     repr(u), repr(channel.gains[g]), int(received),
+                     repr(alpha * u), repr(err_term)]
+                )
+
+            if received:
+                successes += 1
+                x_last = x
+                i = 0
+                steps_since = 1
+                e = float(w[k])
+            else:
+                i = fail_child
+                steps_since += 1
+                e = process.a * e + float(w[k])
+            if writer is not None:
+                x = process.a * x + float(w[k])
+            g = next_gain[g][k]
+
+    return TrajectoryMetrics(
+        horizon=horizon,
+        seed=seed,
+        replication=replication,
+        estimator_mode=estimator_mode,
+        avg_cost=cost_sum / horizon,
+        avg_power=power_sum / horizon,
+        avg_error=error_sum / horizon,
+        success_rate=successes / horizon,
+        gain_occupancy=[c / horizon for c in gain_counts],
+        root_attempts=root_att,
+        root_successes=root_suc,
+        tail_fraction=tail_steps / horizon,
+        max_estimator_gap=max_gap,
+        error_windows=windows,
+    )

@@ -7,12 +7,16 @@ beside this script) on the benchmark inputs and on a tiny one-gain problem,
 and runs the demos, writing each output under OUTDIR:
 
 - ``solve`` on ``bench/inputs/solve-canonical.json``;
-- check-canonical's ``simulate`` (seed 1, one thread) and
-  ``verify-structure`` (seed 1, 400 samples) on the frozen canonical policy;
+- check-canonical's ``simulate`` (seed 1, one thread), once more with the
+  closed-form estimator, and ``verify-structure`` (seed 1, 400 samples) on
+  the frozen canonical policy;
 - on the tiny problem: ``verify-structure`` (seed 3, 40 samples), ``sweep``
   over alpha 0.1:0.2:1.3, a one-round ``solve`` (which ends on the max-power
-  baseline and exits 2), and ``evaluate`` of an on-off, a full-power
-  constant and a zero-power constant baseline;
+  baseline and exits 2), ``evaluate`` of an on-off, a full-power constant
+  and a zero-power constant baseline, and a ``simulate`` of the on-off
+  baseline with the posterior-mean estimator (2 replications of 5000 steps
+  on two processes) that writes the per-step trace
+  ``simulate-tiny-trace.csv``;
 - ``verify-structure`` on a contracting plant whose order probes' radius,
   24, lies past its +-20 grid (exit 3);
 - ``rearrange-demo {}``;
@@ -30,7 +34,7 @@ both sides run the same commands); then
 
     diff -r PARENT_OUT CHANGE_OUT
 
-is the whole check.  A run took 19 s on a two-vCPU Intel Xeon VM.
+is the whole check.  A run took 21 s on a two-vCPU Intel Xeon VM.
 """
 
 from __future__ import annotations
@@ -90,6 +94,8 @@ CHECK = ["inputs/check-canonical.json", "--policy", "inputs/canonical_policy.jso
 COMMANDS = [
     ("solve-canonical.json", ["solve", "inputs/solve-canonical.json"]),
     ("simulate-check-canonical.json", ["simulate", *CHECK, "--threads", "1"]),
+    ("simulate-check-canonical-closed-form.json",
+     ["simulate", *CHECK, "--threads", "1", "--estimator", "closed_form"]),
     ("verify-structure-check-canonical.txt", ["verify-structure", *CHECK, "--samples", "400"]),
     ("verify-structure-tiny.txt",
      ["verify-structure", "inputs/tiny.json", "--seed", "3", "--samples", "40"]),
@@ -99,6 +105,10 @@ COMMANDS = [
     ("evaluate-full-power.json",
      ["evaluate", "inputs/tiny.json", "--policy", "inputs/full-power.json"]),
     ("evaluate-silent.json", ["evaluate", "inputs/tiny.json", "--policy", "inputs/silent.json"]),
+    ("simulate-tiny-trace.json",
+     ["simulate", "inputs/tiny.json", "--policy", "inputs/on-off.json", "--estimator",
+      "belief_mean", "--replications", "2", "--horizon", "5000", "--threads", "2",
+      "--trace", "simulate-tiny-trace.csv"]),
     ("verify-structure-contracting.txt", ["verify-structure", "inputs/contracting.json"]),
     ("rearrange-demo.csv", ["rearrange-demo", "inputs/defaults.json", "-o", "{out}"]),
 ]
