@@ -276,19 +276,24 @@ def _cmd_simulate(args) -> int:
     _check_simulate(sim)
     seed = sim["base_seed"]
     policy = _load_policy(args.policy, problem, geometry)
-    summary = replicate(
-        problem,
-        geometry,
-        policy,
-        sim["replications"],
-        sim["horizon"],
-        seed,
-        threads=args.threads,
-        estimator_mode=sim["estimator"],
-        depth=cfg["solver"]["depth"],
-        window=sim["window"],
-        _trace=None if args.trace is None else (args.trace, _config_comment(cfg, seed)),
-    )
+    try:
+        summary = replicate(
+            problem,
+            geometry,
+            policy,
+            sim["replications"],
+            sim["horizon"],
+            seed,
+            threads=args.threads,
+            estimator_mode=sim["estimator"],
+            depth=cfg["solver"]["depth"],
+            window=sim["window"],
+            _trace=None if args.trace is None else (args.trace, _config_comment(cfg, seed)),
+        )
+    except OverflowError:  # the one a rollout raises, at a squared error past the floats
+        print("error: the innovation's square overflowed a float: the closed loop is unstable "
+              "under this policy", file=sys.stderr)
+        return EXIT_BAD_INPUT
     payload = {"config": cfg, "seed": seed, "metrics": summary.to_dict()}
     _emit_json(payload, args.output)
     return EXIT_OK

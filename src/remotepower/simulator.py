@@ -21,7 +21,8 @@ time.  In each block:
   probability per grid node, one row per distinct rule and gain);
 - the true path chases run lengths from the block's first step;
 - the path needs rules only, so beliefs are read after it is known, and the
-  tree steps only the nodes it visits and their ancestors;
+  tree steps only the nodes it visits and their ancestors (a visited
+  depth-cap node's belief is read off its stepped block, never stored);
 - the cost terms are summed with cumulative sums, so every total is the
   one the per-step loop makes, bit for bit.
 
@@ -43,6 +44,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .belief import (
+    BeliefGrid,
     DegenerateSuccessError,
     GridGeometry,
     SupportOverflowError,
@@ -124,8 +126,12 @@ class _StateMemo:
     innovation mean at node i and ``centre[s]`` the failure-branch centre at
     (i, g), read when a rollout first visits the state; both stay zero for
     the closed-form estimator and from a node whose belief propagation
-    failed.  ``best[g]`` is the highest success probability in any row read
-    at gain g.  One memo serves every replication a process runs.
+    failed.  The beliefs of the depth cap's nodes are not stored: the tree
+    steps the newly visited ones through its level step and hands each
+    block over, and the memo takes every gain's mean and centre from it at
+    once, keeping each such node's step error.  ``best[g]`` is the highest
+    success probability in any row read at gain g.  One memo serves every
+    replication a process runs.
     """
 
     def __init__(self, problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy,
@@ -141,6 +147,8 @@ class _StateMemo:
         self.mean = np.zeros(n_states)
         self.centre = np.zeros(n_states)
         self._warned: set[ValueError] = set()
+        # each cap node's step error, or None, once its block is taken
+        self._cap_errors: dict[int, ValueError | None] = {}
 
     def rule_rows(self, states: np.ndarray) -> np.ndarray:
         rows = self.row[states]
@@ -187,11 +195,20 @@ class _StateMemo:
 
     def _read_beliefs(self, states: list[int]) -> None:
         tree = self.tree
-        tree.fill([s // tree.n_gains for s in states])
-        for s in states:
-            i = s // tree.n_gains
+        G, n_inner = tree.n_gains, tree.n_inner
+        nodes = [s // G for s in states]
+        cap = sorted({i for i in nodes if i >= n_inner and i not in self._cap_errors})
+        tree.fill([i for i in nodes if i < n_inner] + [(i - 1) // G for i in cap])
+        if cap:
+            tree._fill_level(cap, self._take_cap_block)
+        for s, i in zip(states, nodes):
             try:
-                theta = tree.belief_at(i)
+                if i < n_inner:
+                    theta = tree.belief_at(i)
+                    self.mean[s] = belief_mean(theta)
+                    self.centre[s] = _failure_center(theta, self.success[self.row[s]])
+                elif self._cap_errors[i] is not None:
+                    raise self._cap_errors[i]
             except (SupportOverflowError, DegenerateSuccessError) as exc:
                 # the tree raises one error for a node and all its descendants
                 if exc not in self._warned:
@@ -200,10 +217,23 @@ class _StateMemo:
                         "belief propagation failed at failure history %s (%s); "
                         "falling back to closed-form estimates from here on",
                         tree.nodes[i], exc)
-            else:
-                self.mean[s] = belief_mean(theta)
-                self.centre[s] = _failure_center(theta, self.success[self.row[s]])
             self.read[s] = True
+
+    def _take_cap_block(self, rows: list[int], weights: np.ndarray, errors: list) -> None:
+        """The mean and centre of every state of each cap node in a stepped
+        block of the cap level, which the tree does not store; the full-power
+        rule there has the success vector the state's rule row holds."""
+        tree = self.tree
+        G = tree.n_gains
+        for i, row, err in zip(rows, weights, errors):
+            self._cap_errors[i] = err
+            if err is not None:
+                continue
+            theta = BeliefGrid._view(tree.geometry, row)
+            self.mean[i * G : (i + 1) * G] = belief_mean(theta)
+            for g, gain in enumerate(tree.problem.channel.gains):
+                q = _level_success(tree.action_at(i, g), tree.problem.reception, gain)
+                self.centre[i * G + g] = _failure_center(theta, q)
 
 
 def _gain_path(cum: np.ndarray, u_chan: np.ndarray, g: int) -> tuple[np.ndarray, int]:

@@ -17,11 +17,19 @@ level's rows itself, through the batched belief step in blocks of
 ``belief._BLOCK_ROWS`` rows taken off one queue; a whole level is one run
 of rows, stepped straight into the array.  When the process may use two
 CPUs and the level has more than one block, a worker thread, kept for the
-life of the process, takes blocks beside the calling thread.  Each rule the
-policy holds is expanded once per tree, and rules and their success vectors
-are made on the calling thread before any block is stepped.  Policy
-improvement and the structure witness read one greedy pass, which takes the
-ring minimum of ``_BLOCK_ROWS`` states at one gain at once.
+life of the process, takes blocks beside the calling thread.  The depth
+cap's level, half of the nodes at two gains, is read once by each reader,
+so neither stores it: the cap rows go through the same level step, and
+each stepped block is handed to the calling thread, which takes what it
+needs from it (``build_chain`` the tail states' terms, the simulator the
+mean and failure-branch centre of the tail states a rollout visits) and
+drops it; the array's cap rows are filled only when a cap node's belief is
+asked for by ``belief_at`` or ``fill``.  Each rule the policy holds is
+expanded once per tree, and rules and their success vectors are made on
+the calling thread before any block is stepped.  Policy improvement and
+the structure witness read one greedy pass, which takes the ring minimum
+of ``_BLOCK_ROWS`` states at one gain at once; the structure witness's
+tabular refinement takes its level choices by the same running minimum.
 
 ``verify_structure``'s randomized probes go one at a time through the
 public functions: each draws a relation pair with ``random_relation_pair``,
@@ -61,7 +69,7 @@ import threading
 import time
 import warnings
 from bisect import bisect_left
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -153,7 +161,10 @@ class UnfoldedChain:
     the depth cap are flagged in tail_mask; nodes whose parent edge is an
     (almost surely) successful transmission carry a placeholder root belief
     and are flagged virtual (they are unreachable, but keeping them makes the
-    state indexing policy-independent).
+    state indexing policy-independent).  ``beliefs`` is a sequence by node:
+    the build took the tail states' terms from the cap level's stepped
+    blocks and kept no tail belief, so the first read of a tail node's
+    belief steps the cap level into the tree's array.
     """
 
     problem: ControlProblem
@@ -162,7 +173,7 @@ class UnfoldedChain:
     nodes: list[NodeKey]
     node_index: dict[NodeKey, int]
     child: np.ndarray
-    beliefs: list[BeliefGrid]
+    beliefs: Sequence[BeliefGrid]
     actions: list[ActionFunction]
     phi: np.ndarray
     power: np.ndarray
@@ -196,6 +207,24 @@ class UnfoldedChain:
 
     def virtual_states(self) -> np.ndarray:
         return np.repeat(self.virtual_mask, self.n_gains)
+
+
+class _ChainBeliefs(Sequence):
+    """A chain's beliefs by node: the inner nodes' as the build read them,
+    a tail node's from its tree on first read (which steps the whole cap
+    level into the tree's array), and the root belief at a virtual node."""
+
+    def __init__(self, tree: _HistoryTree, inner: list[BeliefGrid], virtual: np.ndarray):
+        self._tree, self._inner, self._virtual = tree, inner, virtual
+
+    def __len__(self) -> int:
+        return len(self._virtual)
+
+    def __getitem__(self, i: int) -> BeliefGrid:
+        i = range(len(self))[i]
+        if i < len(self._inner):
+            return self._inner[i]
+        return self._tree.root if self._virtual[i] else self._tree.belief_at(i)
 
 
 def _cpu_count() -> int:
@@ -269,10 +298,15 @@ class _HistoryTree:
     parents' rows in blocks of ``_BLOCK_ROWS`` rows by the calling thread
     and, when the process may use two CPUs and the level has more than one
     block, by the step worker too; a whole level is one run of rows, stepped
-    straight into the array.  A child whose step fails stores its error,
-    which is raised again for that node and for every node below it; its
-    siblings go on.  A failed node's children are stepped with the rest and
-    then take its error.  The policy must be built on the tree's grid.
+    straight into the array.  ``_fill_level`` with a `take` steps a level
+    the same way but stores nothing: each block goes to `take` on the
+    calling thread, so a reader of the cap level leaves its rows untouched
+    (pages of rows never written take no memory, save where a written row
+    shares a huge page with them).  A child
+    whose step fails stores its error, which is raised again for that node
+    and for every node below it; its siblings go on.  A failed node's
+    children are stepped with the rest and then take its error.  The policy
+    must be built on the tree's grid.
     """
 
     def __init__(
@@ -363,7 +397,12 @@ class _HistoryTree:
                 self._fill_level(todo[lo:hi])
             lo = hi
 
-    def _fill_level(self, rows: list[int]) -> None:
+    def _fill_level(self, rows: list[int], take: Callable | None = None) -> None:
+        """Step the rows of one level, whose parents are filled, into the
+        tree's array; or, given `take`, hand each stepped block to
+        take(rows, weights, errors) on the calling thread, as soon as the
+        caller is free, and store nothing.  A row's error is its parent's,
+        when the parent failed, else its own step's, or None."""
         G, gains = self.n_gains, self.problem.channel.gains
         # rules and their success vectors are made here, so the steps only read
         vectors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -381,12 +420,32 @@ class _HistoryTree:
         for lo in range(0, len(rows), _BLOCK_ROWS):
             blocks.put((rows[lo : lo + _BLOCK_ROWS], succ[lo : lo + _BLOCK_ROWS],
                         fail[lo : lo + _BLOCK_ROWS]))
+        mine = theirs = self._step_blocks
+        if take is not None:
+            done = SimpleQueue()
+
+            def drain():
+                with contextlib.suppress(Empty):
+                    while True:
+                        got, weights, errors = done.get_nowait()
+                        take(got, weights,
+                             [self._errors.get((c - 1) // G, e) for c, e in zip(got, errors)])
+
+            def hand(block):  # the caller's own block, then those the worker stepped
+                done.put(block)
+                drain()
+
+            mine = partial(self._step_blocks, hand=hand)
+            theirs = partial(self._step_blocks, hand=done.put)
         if len(rows) > _BLOCK_ROWS and _cpu_count() > 1:
-            other = _step_worker().submit(self._step_blocks, blocks)
-            self._step_blocks(blocks)
+            other = _step_worker().submit(theirs, blocks)
+            mine(blocks)
             other.result()
         else:
-            self._step_blocks(blocks)
+            mine(blocks)
+        if take is not None:
+            drain()
+            return
         # a failed node's row is finite, so its children were stepped with the rest
         for c in rows:
             err = self._errors.get((c - 1) // G)
@@ -394,23 +453,28 @@ class _HistoryTree:
                 self._errors[c] = err
         self._have[rows] = True
 
-    def _step_blocks(self, blocks: SimpleQueue) -> None:
-        """Step the level's blocks off the queue until it is empty, each
-        block's rows into the tree's array, straight when they are one run
-        of rows.  A thread takes the next block when it is done with one, so
-        a thread that gets less of a CPU steps fewer blocks."""
+    def _step_blocks(self, blocks: SimpleQueue, hand: Callable | None = None) -> None:
+        """Step the level's blocks off the queue until it is empty.  With no
+        `hand`, each block's rows go into the tree's array, straight when
+        they are one run of rows; with one, each block is stepped into an
+        array of its own and handed over as hand((rows, weights, errors)), and
+        nothing is stored.  A thread takes the next block when it is done
+        with one, so a thread that gets less of a CPU steps fewer blocks."""
         while True:
             try:
                 rows, succ, fail = blocks.get_nowait()
             except Empty:
                 return
             lo, hi = rows[0], rows[-1] + 1
-            run = hi - lo == len(rows)
+            run = hand is None and hi - lo == len(rows)
             out = self._weights[lo:hi] if run else np.empty((len(rows), self.geometry.n_points))
             errors = _step_rows(
                 self.geometry, self.problem.process,
                 self._weights[(np.asarray(rows) - 1) // self.n_gains], succ, fail, out,
             )
+            if hand is not None:
+                hand((rows, out, errors))
+                continue
             if not run:
                 self._weights[rows] = out
             self._errors.update({rows[r]: err for r, err in enumerate(errors) if err is not None})
@@ -423,8 +487,10 @@ def build_chain(
 
     The full history tree is materialized (every gain sequence of length up to
     depth) so state indices are stable across policies; rules and beliefs are
-    read from the policy's failure-history tree.  Edges whose failure
-    probability is below DEGENERATE_SUCCESS_TOL are treated as certain
+    read from the policy's failure-history tree, the cap level's beliefs a
+    block at a time as they are stepped, without storing them.  The first
+    overflow in node order raises, naming its failure history.  Edges whose
+    failure probability is below DEGENERATE_SUCCESS_TOL are treated as certain
     successes: the sliver of failure mass moves to the success edge, and the
     orphaned subtree, whose beliefs the tree refuses with
     DegenerateSuccessError, is marked virtual.
@@ -444,7 +510,7 @@ def build_chain(
     tree = _HistoryTree(problem, geometry, policy, depth)
     nodes, child = tree.nodes, tree.child
     n_nodes = len(nodes)
-    beliefs: list[BeliefGrid] = [tree.root] * n_nodes
+    beliefs: list[BeliefGrid] = [tree.root] * tree.n_inner
     virtual = np.zeros(n_nodes, dtype=bool)
     tail = np.arange(n_nodes) >= tree.n_inner
     S = n_nodes * G
@@ -453,22 +519,49 @@ def build_chain(
     power = np.empty(S)
     distortion = np.empty(S)
 
-    for i in range(n_nodes):
-        try:
-            beliefs[i] = tree.belief_at(i)
-        except DegenerateSuccessError:
-            virtual[i] = True
-        except SupportOverflowError as err:
-            raise SupportOverflowError(
-                f"belief after failure history {nodes[i]} overflowed: {err}"
-            ) from err
-        masses = beliefs[i].cell_masses()
+    def take_terms(i: int, belief: BeliefGrid) -> None:
+        masses = belief.cell_masses()
         for g, gain in enumerate(channel.gains):
             s = i * G + g
             q = _level_success(actions[s], problem.reception, gain)
             phi[s], power[s], distortion[s] = _node_rule_terms(
-                masses, beliefs[i].nodes, actions[s].values, q
+                masses, belief.nodes, actions[s].values, q
             )
+
+    def settle(i: int, err: ValueError) -> None:
+        """A node whose step failed: virtual, with the root's terms, when
+        the failure branch was degenerate; else its error is raised."""
+        if isinstance(err, SupportOverflowError):
+            raise SupportOverflowError(
+                f"belief after failure history {nodes[i]} overflowed: {err}"
+            ) from err
+        if not isinstance(err, DegenerateSuccessError):
+            raise err
+        virtual[i] = True
+        take_terms(i, tree.root)
+
+    for i in range(tree.n_inner):
+        try:
+            beliefs[i] = tree.belief_at(i)
+        except ValueError as err:
+            settle(i, err)
+        else:
+            take_terms(i, beliefs[i])
+
+    # the cap level is stepped a block at a time, its terms taken from each
+    # block, and never stored; its errors are settled in node order after
+    failed: dict[int, ValueError] = {}
+
+    def take_block(rows: list[int], weights: np.ndarray, errors: list) -> None:
+        for i, row, err in zip(rows, weights, errors):
+            if err is None:
+                take_terms(i, BeliefGrid._view(geometry, row))
+            else:
+                failed[i] = err
+
+    tree._fill_level(list(range(tree.n_inner, n_nodes)), take_block)
+    for i in sorted(failed):
+        settle(i, failed[i])
 
     # per state: the success edges to the root, then the failure edges to the
     # child, one per gain transition of positive probability
@@ -488,7 +581,7 @@ def build_chain(
         nodes=nodes,
         node_index=tree.node_index,
         child=child,
-        beliefs=beliefs,
+        beliefs=_ChainBeliefs(tree, beliefs, virtual),
         actions=actions,
         phi=phi,
         power=power,
@@ -635,6 +728,21 @@ def _mirror(half: np.ndarray) -> np.ndarray:
     return np.concatenate((half[:0:-1], half))
 
 
+def _greedy_levels(
+    alpha: float, levels: np.ndarray, q_levels: np.ndarray, cost: np.ndarray
+) -> np.ndarray:
+    """The index of the level that minimizes alpha * level - q * cost at
+    each entry of `cost`, by a running minimum over the levels; its strict
+    < keeps the first minimum, as argmin does."""
+    best = alpha * levels[0] - q_levels[0] * cost
+    choice = np.zeros(cost.shape, dtype=np.intp)
+    for k in range(1, len(levels)):
+        objective = alpha * levels[k] - q_levels[k] * cost
+        choice[objective < best] = k
+        np.minimum(best, objective, out=best)
+    return choice
+
+
 def _improve_state_tabular(
     belief: BeliefGrid, actions: ActionSet, q_levels: np.ndarray,
     alpha: float, cont_gap: float, center: float,
@@ -647,8 +755,7 @@ def _improve_state_tabular(
     choice = None
     for _ in range(CENTER_ITERATIONS):
         cost = (nodes - center) ** 2 + cont_gap
-        objective = alpha * levels[:, None] - q_levels[:, None] * cost[None, :]
-        choice = np.argmin(objective, axis=0)
+        choice = _greedy_levels(alpha, levels, q_levels, cost)
         choice[outside] = len(levels) - 1
         new_center = _failure_center(belief, q_levels[choice])
         if abs(new_center - center) < 1e-12:
@@ -690,14 +797,7 @@ def _greedy_states(
         choices = []
         for g in range(G):
             cost = radii**2 + gaps[:, g, None]
-            q = q_by_gain[g]
-            # a running minimum over the levels; strict < keeps the first, as argmin does
-            best = weights.alpha * levels[0] - q[0] * cost
-            choice = np.zeros(cost.shape, dtype=np.intp)
-            for k in range(1, len(levels)):
-                objective = weights.alpha * levels[k] - q[k] * cost
-                choice[objective < best] = k
-                np.minimum(best, objective, out=best)
+            choice = _greedy_levels(weights.alpha, levels, q_by_gain[g], cost)
             choice[:, outside] = len(levels) - 1
             choices.append(np.maximum.accumulate(choice, axis=1))
         for r, i in enumerate(idx):

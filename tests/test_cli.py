@@ -752,3 +752,21 @@ def test_an_order_probe_radius_past_the_grid_is_one_config_error(tmp_path, capsy
     path.write_text(json.dumps(cfg))
     err = _assert_one_line_input_error(run(["verify-structure", str(path)]), capsys)
     assert err.startswith("config error: ") and "= 24 " in err and "half width 20" in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_a_rollout_whose_square_overflows_is_one_error_line(tmp_path, capsys, threads):
+    # nothing gets through (on_level 5 is above the top level 4), so the
+    # innovation grows as 1.2^k until its square leaves the floats
+    cfg = {**TINY_CONFIG, "reception": {"form": "on_off", "on_level": 5.0, "on_prob": 1.0},
+           "simulate": {"horizon": 5000, "replications": 2}}
+    policy = {"mode": "baseline", "baseline": "on_off", "baseline_param": 1.5, "enforce": True,
+              "levels": [0.0, 4.0], "saturation_radius": 6.0,
+              "grid": {"half_width": 20.0, "n_points": 401}, "default": None, "states": []}
+    cfg_path, policy_path = tmp_path / "unstable.json", tmp_path / "on-off.json"
+    cfg_path.write_text(json.dumps(cfg))
+    policy_path.write_text(json.dumps(policy))
+    code = run(["simulate", str(cfg_path), "--policy", str(policy_path), "--threads", threads])
+    err = _assert_one_line_input_error(code, capsys)
+    assert err == ("error: the innovation's square overflowed a float: the closed loop is "
+                   "unstable under this policy\n")

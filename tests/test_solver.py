@@ -46,8 +46,11 @@ from remotepower import (
     verify_structure,
 )
 from remotepower import solver
+from remotepower.belief import _failure_center
 from remotepower.solver import (
+    CENTER_ITERATIONS,
     CENTER_SNAP_TOL,
+    _greedy_levels,
     _greedy_states,
     _improve_state_tabular,
     _reachable_states,
@@ -717,3 +720,46 @@ def test_solvers_refuse_a_round_count_below_one_or_not_an_integer(
     with pytest.raises(ValueError) as err:
         run(tiny_problem, tiny_geometry, depth=3, max_rounds=max_rounds)
     assert str(err.value) == f"max_rounds must be an integer >= 1, got {max_rounds!r}"
+
+
+def tabular_by_argmin(belief, actions, q_levels, alpha, cont_gap, center):
+    """_improve_state_tabular with each level choice an argmin over the
+    (levels, nodes) table of objectives."""
+    nodes, levels = belief.nodes, np.asarray(actions.levels)
+    choice = None
+    for _ in range(CENTER_ITERATIONS):
+        cost = (nodes - center) ** 2 + cont_gap
+        choice = np.argmin(alpha * levels[:, None] - q_levels[:, None] * cost[None, :], axis=0)
+        choice[np.abs(nodes) > actions.saturation_radius] = len(levels) - 1
+        new_center = _failure_center(belief, q_levels[choice])
+        if abs(new_center - center) < 1e-12:
+            break
+        center = new_center
+    return choice
+
+
+def test_tabular_choices_equal_the_argmin_form(canon_problem, canon_geometry):
+    actions = canon_problem.actions
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        belief = gaussian_grid(rng.uniform(-3.0, 3.0), rng.uniform(0.5, 9.0), canon_geometry)
+        q = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, actions.n_levels - 1))))
+        args = (belief, actions, q, rng.uniform(0.0, 2.0), rng.uniform(-2.0, 20.0),
+                rng.uniform(-2.0, 2.0))
+        assert np.array_equal(_improve_state_tabular(*args), tabular_by_argmin(*args))
+
+    # exact ties: at alpha = 0 the three top levels score alike everywhere,
+    # and all four at the node where the cost is zero; the first one is kept
+    belief = gaussian_grid(0.0, 4.0, canon_geometry)
+    q = np.array([0.0, 0.6, 0.6, 0.6])
+    got = _improve_state_tabular(belief, actions, q, 0.0, 0.0, 0.0)
+    assert np.array_equal(got, tabular_by_argmin(belief, actions, q, 0.0, 0.0, 0.0))
+    inside = np.abs(belief.nodes) <= actions.saturation_radius
+    assert got[belief.nodes == 0.0].tolist() == [0]
+    assert set(got[inside & (belief.nodes != 0.0)].tolist()) == {1}
+
+    # alpha * level - q * cost ties levels 0 and 1 at cost 1, 1 and 2 at 2, 2 and 4 at 4
+    levels, q = np.array([0.0, 1.0, 2.0, 4.0]), np.array([0.0, 0.5, 0.75, 1.0])
+    cost = np.array([1.0, 2.0, 4.0, 0.5, 3.0, 8.0])
+    want = np.argmin(0.5 * levels[:, None] - q[:, None] * cost[None, :], axis=0)
+    assert _greedy_levels(0.5, levels, q, cost).tolist() == want.tolist() == [0, 1, 2, 0, 2, 3]

@@ -6,7 +6,8 @@ Runs the ``remotepower`` command of this checkout (the ``src`` directory
 beside this script) on the benchmark inputs and on a tiny one-gain problem,
 and runs the demos, writing each output under OUTDIR:
 
-- ``solve`` on ``bench/inputs/solve-canonical.json``;
+- ``solve`` on ``bench/inputs/solve-canonical.json``, and on the same
+  defaults at depth 10, whose depth cap has 1024 nodes;
 - check-canonical's ``simulate`` (seed 1, one thread), once more with the
   closed-form estimator, and ``verify-structure`` (seed 1, 400 samples) on
   the frozen canonical policy;
@@ -34,7 +35,7 @@ both sides run the same commands); then
 
     diff -r PARENT_OUT CHANGE_OUT
 
-is the whole check.  A run took 21 s on a two-vCPU Intel Xeon VM.
+is the whole check.  A run took 24 s on a two-vCPU Intel Xeon VM.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ def baseline_file(baseline: str, param: float, enforce: bool) -> dict:
 
 
 INPUTS = {
+    "depth-10.json": {"solver": {"depth": 10}},
     "tiny.json": TINY,
     "tiny-one-round.json": {**TINY, "solver": {"depth": 3, "max_rounds": 1}},
     "on-off.json": baseline_file("on_off", 1.5, True),
@@ -93,6 +95,7 @@ CHECK = ["inputs/check-canonical.json", "--policy", "inputs/canonical_policy.jso
 # (output name, CLI arguments); "{out}" is the output file, else stdout is kept
 COMMANDS = [
     ("solve-canonical.json", ["solve", "inputs/solve-canonical.json"]),
+    ("solve-depth-10.json", ["solve", "inputs/depth-10.json"]),
     ("simulate-check-canonical.json", ["simulate", *CHECK, "--threads", "1"]),
     ("simulate-check-canonical-closed-form.json",
      ["simulate", *CHECK, "--threads", "1", "--estimator", "closed_form"]),
