@@ -201,11 +201,7 @@ def _cmd_validate(args) -> int:
     rows.append(("reception.monotone_in_gain", bool(np.all(np.diff(q_top) >= -1e-12)), ""))
 
     ok = _print_table(rows)
-    a = problem.process.a
-    h_min = min(problem.channel.gains)
-    q_floor = float(reception_prob(problem.reception, problem.actions.u_max, h_min))
-    margin = q_floor - (1.0 - 1.0 / a**2)
-    print(f"stability margin: {margin:.6g}")
+    print(f"stability margin: {stability.margin:.6g}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

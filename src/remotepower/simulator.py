@@ -127,11 +127,11 @@ class _StateMemo:
     (i, g), read when a rollout first visits the state; both stay zero for
     the closed-form estimator and from a node whose belief propagation
     failed.  The beliefs of the depth cap's nodes are not stored: the tree
-    steps the newly visited ones through its level step and hands each
-    block over, and the memo takes every gain's mean and centre from it at
-    once, keeping each such node's step error.  ``best[g]`` is the highest
-    success probability in any row read at gain g.  One memo serves every
-    replication a process runs.
+    steps the newly visited ones through its level step, and the thread
+    that stepped a block hands it to the memo, which takes every gain's
+    mean and centre from it at once, keeping each such node's step error.
+    ``best[g]`` is the highest success probability in any row read at gain
+    g.  One memo serves every replication a process runs.
     """
 
     def __init__(self, problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy,

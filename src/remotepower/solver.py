@@ -20,7 +20,7 @@ CPUs and the level has more than one block, a worker thread, kept for the
 life of the process, takes blocks beside the calling thread.  The depth
 cap's level, half of the nodes at two gains, is read once by each reader,
 so neither stores it: the cap rows go through the same level step, and
-each stepped block is handed to the calling thread, which takes what it
+the thread that stepped a block hands it to the reader, which takes what it
 needs from it (``build_chain`` the tail states' terms, the simulator the
 mean and failure-branch centre of the tail states a rollout visits) and
 drops it; the array's cap rows are filled only when a cap node's belief is
@@ -75,10 +75,15 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import combinations_with_replacement
 from queue import Empty, SimpleQueue
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+
+# scipy.sparse (and with it scipy.linalg) loads in the five functions that
+# use it, not with the package: validate, simulate and rearrange-demo never
+# build a chain's matrix
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .belief import (
     DEGENERATE_SUCCESS_TOL,
@@ -220,7 +225,9 @@ class _ChainBeliefs(Sequence):
     def __len__(self) -> int:
         return len(self._virtual)
 
-    def __getitem__(self, i: int) -> BeliefGrid:
+    def __getitem__(self, i: int | slice) -> BeliefGrid | list[BeliefGrid]:
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
         if i < len(self._inner):
             return self._inner[i]
@@ -300,9 +307,10 @@ class _HistoryTree:
     block, by the step worker too; a whole level is one run of rows, stepped
     straight into the array.  ``_fill_level`` with a `take` steps a level
     the same way but stores nothing: each block goes to `take` on the
-    calling thread, so a reader of the cap level leaves its rows untouched
-    (pages of rows never written take no memory, save where a written row
-    shares a huge page with them).  A child
+    thread that stepped it, so a reader of the cap level leaves its rows
+    untouched (pages of rows never written take no memory, save where a
+    written row shares a huge page with them); a `take` may run on both
+    threads at once, so it writes only its own block's entries.  A child
     whose step fails stores its error, which is raised again for that node
     and for every node below it; its siblings go on.  A failed node's
     children are stepped with the rest and then take its error.  The policy
@@ -400,9 +408,9 @@ class _HistoryTree:
     def _fill_level(self, rows: list[int], take: Callable | None = None) -> None:
         """Step the rows of one level, whose parents are filled, into the
         tree's array; or, given `take`, hand each stepped block to
-        take(rows, weights, errors) on the calling thread, as soon as the
-        caller is free, and store nothing.  A row's error is its parent's,
-        when the parent failed, else its own step's, or None."""
+        take(rows, weights, errors) on the thread that stepped it, and store
+        nothing.  A row's error is its parent's, when the parent failed, else
+        its own step's, or None."""
         G, gains = self.n_gains, self.problem.channel.gains
         # rules and their success vectors are made here, so the steps only read
         vectors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -420,31 +428,14 @@ class _HistoryTree:
         for lo in range(0, len(rows), _BLOCK_ROWS):
             blocks.put((rows[lo : lo + _BLOCK_ROWS], succ[lo : lo + _BLOCK_ROWS],
                         fail[lo : lo + _BLOCK_ROWS]))
-        mine = theirs = self._step_blocks
-        if take is not None:
-            done = SimpleQueue()
-
-            def drain():
-                with contextlib.suppress(Empty):
-                    while True:
-                        got, weights, errors = done.get_nowait()
-                        take(got, weights,
-                             [self._errors.get((c - 1) // G, e) for c, e in zip(got, errors)])
-
-            def hand(block):  # the caller's own block, then those the worker stepped
-                done.put(block)
-                drain()
-
-            mine = partial(self._step_blocks, hand=hand)
-            theirs = partial(self._step_blocks, hand=done.put)
+        step = self._step_blocks if take is None else partial(self._step_blocks, take=take)
         if len(rows) > _BLOCK_ROWS and _cpu_count() > 1:
-            other = _step_worker().submit(theirs, blocks)
-            mine(blocks)
+            other = _step_worker().submit(step, blocks)
+            step(blocks)
             other.result()
         else:
-            mine(blocks)
+            step(blocks)
         if take is not None:
-            drain()
             return
         # a failed node's row is finite, so its children were stepped with the rest
         for c in rows:
@@ -453,27 +444,29 @@ class _HistoryTree:
                 self._errors[c] = err
         self._have[rows] = True
 
-    def _step_blocks(self, blocks: SimpleQueue, hand: Callable | None = None) -> None:
+    def _step_blocks(self, blocks: SimpleQueue, take: Callable | None = None) -> None:
         """Step the level's blocks off the queue until it is empty.  With no
-        `hand`, each block's rows go into the tree's array, straight when
+        `take`, each block's rows go into the tree's array, straight when
         they are one run of rows; with one, each block is stepped into an
-        array of its own and handed over as hand((rows, weights, errors)), and
-        nothing is stored.  A thread takes the next block when it is done
-        with one, so a thread that gets less of a CPU steps fewer blocks."""
+        array of its own and handed to take(rows, weights, errors) on this
+        thread, and nothing is stored.  A thread takes the next block when
+        it is done with one, so a thread that gets less of a CPU steps fewer
+        blocks."""
+        G = self.n_gains
         while True:
             try:
                 rows, succ, fail = blocks.get_nowait()
             except Empty:
                 return
             lo, hi = rows[0], rows[-1] + 1
-            run = hand is None and hi - lo == len(rows)
+            run = take is None and hi - lo == len(rows)
             out = self._weights[lo:hi] if run else np.empty((len(rows), self.geometry.n_points))
             errors = _step_rows(
                 self.geometry, self.problem.process,
-                self._weights[(np.asarray(rows) - 1) // self.n_gains], succ, fail, out,
+                self._weights[(np.asarray(rows) - 1) // G], succ, fail, out,
             )
-            if hand is not None:
-                hand((rows, out, errors))
+            if take is not None:
+                take(rows, out, [self._errors.get((c - 1) // G, e) for c, e in zip(rows, errors)])
                 continue
             if not run:
                 self._weights[rows] = out
@@ -495,6 +488,8 @@ def build_chain(
     orphaned subtree, whose beliefs the tree refuses with
     DegenerateSuccessError, is marked virtual.
     """
+    import scipy.sparse as sp
+
     if depth < 1:
         raise ValueError("depth must be at least 1")
     rep = validate_stability(
@@ -605,6 +600,8 @@ def _reachable_states(P: sp.csr_matrix, seeds: list[int]) -> np.ndarray:
     """States reachable from `seeds` along the stored entries of P (a stored
     zero is an edge too), grown one step at a time by a sparse
     matrix-vector product on P's pattern."""
+    import scipy.sparse as sp
+
     pattern_T = sp.csr_matrix((np.ones(P.nnz), P.indices, P.indptr), shape=P.shape).T
     seen = np.zeros(P.shape[0], dtype=bool)
     seen[seeds] = True
@@ -617,6 +614,9 @@ def _reachable_states(P: sp.csr_matrix, seeds: list[int]) -> np.ndarray:
 
 def _stationary_on(P: sp.csr_matrix, reach: np.ndarray) -> np.ndarray:
     """Stationary distribution of P restricted to a closed reachable set."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
     Pr = P[reach][:, reach].tocsc()
     m = len(reach)
     M = (Pr.T - sp.identity(m, format="csc")).tolil()
@@ -664,6 +664,9 @@ def evaluate_policy(chain: UnfoldedChain, weights: CostWeights) -> EvaluationRes
     occupancy average; disagreement or an unsolvable stationary system raises
     ChainStructureError.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
     S = chain.n_states
     stage = chain.stage_vector(weights)
     P = chain.P
@@ -1063,6 +1066,9 @@ def discounted_policy_values(
 ) -> np.ndarray:
     """Exact beta-discounted total cost of the chain's own policy, per state,
     via one sparse linear solve of (I - beta P) V = c."""
+    import scipy.sparse as sp
+    from scipy.sparse.linalg import spsolve
+
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly between 0 and 1")
     stage = chain.stage_vector(weights)

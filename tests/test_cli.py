@@ -66,7 +66,22 @@ def test_validate_flags_insufficient_reception(tmp_path, capsys):
         {"reception": {"form": "on_off", "on_level": 4.0, "on_prob": 0.2}}
     ))
     assert run(["validate", str(path)]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    assert "stability margin: -0.152\n" in out  # 1 - 1.44 * 0.8
+
+
+def test_validate_passes_a_low_gain_channel_that_full_power_stabilizes(tmp_path, capsys):
+    # the worst gain alone would not do: q(u_max, 0.05) = 0.18 < 1 - 1/a^2,
+    # but a^2 rho(diag(1 - q(u_max, h)) P) = 0.943 < 1
+    path = tmp_path / "low-gain.json"
+    path.write_text(json.dumps(
+        {"channel": {"gains": [0.05, 2.0], "transition": [[0.8, 0.2], [0.3, 0.7]]}}
+    ))
+    assert run(["validate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert "stability margin: 0.0567859\n" in out
 
 
 def test_malformed_json_is_reported_with_position(tmp_path, capsys):
@@ -544,22 +559,28 @@ from remotepower import ScalarProcess, error_growth_windows
 from remotepower.cli import run
 
 OPTIONAL = ("scipy.fft", "scipy.special", "scipy.sparse.csgraph", "concurrent.futures.process")
+# loaded by the commands that build a chain's matrix, and by no other
+SPARSE = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg")
 
-def loaded():
-    return [m for m in OPTIONAL if m in sys.modules]
+def loaded(watched=OPTIONAL + SPARSE):
+    return [m for m in watched if m in sys.modules]
 
 assert not loaded(), f"import remotepower loads {loaded()}"
-config, solution = sys.argv[1:]
+config, solved, solution = sys.argv[1:]
 for argv in (
     ["validate", config],
-    ["solve", config, "-o", solution],
-    ["evaluate", config, "--policy", solution, "-o", solution + ".eval"],
-    ["simulate", config, "--policy", solution, "--threads", "1", "-o", solution + ".sim"],
-    ["verify-structure", config, "--samples", "5"],
+    ["simulate", config, "--policy", solved, "--threads", "1", "-o", solution + ".sim"],
     ["rearrange-demo", config, "-o", solution + ".csv"],
 ):
     assert run(argv) == 0, argv
     assert not loaded(), f"{argv[0]} loads {loaded()}"
+for argv in (
+    ["solve", config, "-o", solution],
+    ["evaluate", config, "--policy", solution, "-o", solution + ".eval"],
+    ["verify-structure", config, "--samples", "5"],
+):
+    assert run(argv) == 0, argv
+    assert not loaded(OPTIONAL), f"{argv[0]} loads {loaded(OPTIONAL)}"
 
 windows = error_growth_windows(ScalarProcess(a=1.2, noise_var=1.0), 50_000, 10_000, 1)
 assert "scipy.special" in sys.modules
@@ -568,13 +589,15 @@ assert windows == [3639.8441835122744, 7286.275319391366, 10932.70645527046,
 """
 
 
-def test_commands_at_one_thread_load_no_optional_module(tiny_cfg_path, tmp_path):
+def test_commands_at_one_thread_load_no_optional_module(tiny_cfg_path, solved, tmp_path):
     # a fresh interpreter: this one has imported everything the suite uses
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    solved_path, _ = solved
     proc = subprocess.run(
-        [sys.executable, "-c", _FOOTPRINT_GUARD, tiny_cfg_path, str(tmp_path / "solution.json")],
+        [sys.executable, "-c", _FOOTPRINT_GUARD, tiny_cfg_path, str(solved_path),
+         str(tmp_path / "again.json")],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -211,3 +211,37 @@ def test_stability_margin_value():
     rec = ReceptionModel(form="exponential", scale=1.0)
     q_worst = reception_prob(rec, 4.0, 0.5)
     assert q_worst - STABILITY_BOUND_A12 == pytest.approx(0.5591091612078317, abs=1e-12)
+
+
+def second_moment_growth(a, fail, transition, steps=500):
+    """Per-step growth of the full-power error's second moment, by iterating
+    its recursion by gain, m[h'] <- sum_h P[h, h'] (1 - q_h) a^2 m[h], from
+    equal moments at every gain."""
+    m = np.ones(len(fail))
+    for _ in range(steps):
+        grown = a * a * (np.asarray(transition).T @ (np.asarray(fail) * m))
+        growth = grown.sum() / m.sum()
+        m = grown / grown.sum()
+    return growth
+
+
+@pytest.mark.parametrize("gains, reception, growth, ok", [
+    pytest.param((0.5, 2.0), ReceptionModel(form="exponential", scale=1.0), 0.156, True,
+                 id="canonical"),
+    # q(4, 0.05) = 0.181 misses the sufficient bound q(u_max, h_min) > 11/36,
+    # but the channel leaves gain 0.05 often enough
+    pytest.param((0.05, 2.0), ReceptionModel(form="exponential", scale=1.0), 0.943, True,
+                 id="low-gain"),
+    # q = 0.2 at both gains: a^2 (1 - q) = 1.44 * 0.8
+    pytest.param((0.5, 2.0), ReceptionModel(form="on_off", on_level=4.0, on_prob=0.2), 1.152,
+                 False, id="on-off"),
+])
+def test_validate_stability_checks_the_exact_mean_square_condition(gains, reception, growth, ok):
+    process, _, _, actions = stability_inputs(reception)
+    rep = validate_stability(process, exp_channel(gains), reception, actions)
+    assert rep.ok is rep.checks["margin"] is ok
+    assert rep.checks["unstable_process"]
+    assert 1.0 - rep.margin == pytest.approx(growth, abs=5e-4)
+    fail = [1.0 - reception_prob(reception, actions.u_max, h) for h in gains]
+    want = second_moment_growth(process.a, fail, CANON_TRANSITION)
+    assert 1.0 - rep.margin == pytest.approx(want, rel=1e-12)

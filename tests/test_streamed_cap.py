@@ -84,6 +84,56 @@ def test_the_chain_build_stores_no_cap_row(case, cpus, stepped, monkeypatch, can
     assert tree._have[tree.n_inner :].all()
 
 
+def test_each_cap_block_is_taken_on_the_thread_that_stepped_it(stepped, monkeypatch,
+                                                               canon_problem, canon_geometry):
+    taken = []
+    fill_level = _HistoryTree._fill_level
+
+    def recording(tree, rows, take=None):
+        if take is None:
+            return fill_level(tree, rows)
+
+        def recorded(got, weights, errors):
+            taken.append((weights, threading.get_ident()))
+            take(got, weights, errors)
+
+        return fill_level(tree, rows, recorded)
+
+    monkeypatch.setattr(_HistoryTree, "_fill_level", recording)
+    monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock over as often as it can
+    try:
+        build_chain(canon_problem, canon_geometry,
+                    frozen_canonical_policy(canon_problem, canon_geometry), 8)
+    finally:
+        sys.setswitchinterval(interval)
+    # each take's weights are the output array of the step that made them
+    stepped_on = {id(out): t for out, t in stepped}
+    assert len(taken) == 32 == len({id(weights) for weights, _ in taken})
+    assert all(stepped_on[id(weights)] == t for weights, t in taken)
+    assert len({t for _, t in taken}) == 2
+
+
+def test_chain_beliefs_slice_like_a_list(tiny_geometry):
+    problem = three_gain_problem()
+    chain = build_chain(problem, tiny_geometry,
+                        PowerPolicy.on_off(1.5, problem.actions, tiny_geometry), 3)
+    tree_inner = sum(3**k for k in range(3))
+    every = [chain.beliefs[i] for i in range(len(chain.beliefs))]
+    for key in (slice(tree_inner - 2, tree_inner + 3), slice(-5, None), slice(None, -30, 4),
+                slice(None, None, -7)):
+        got = chain.beliefs[key]
+        assert isinstance(got, list)
+        want = every[key]
+        assert len(got) == len(want) > 0
+        assert all(g.weights.tobytes() == w.weights.tobytes() for g, w in zip(got, want))
+    assert chain.beliefs[-1].weights.tobytes() == every[-1].weights.tobytes()
+    assert chain.beliefs[-len(every)] is every[0]
+    with pytest.raises(IndexError):
+        chain.beliefs[-len(every) - 1]
+
+
 def rollout_case(name, canon_problem, canon_geometry, tiny_geometry):
     """(problem, geometry, policy, depth, horizon, seed) of a belief-mean
     rollout that reaches the depth cap."""

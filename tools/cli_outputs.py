@@ -20,6 +20,8 @@ and runs the demos, writing each output under OUTDIR:
   ``simulate-tiny-trace.csv``;
 - ``verify-structure`` on a contracting plant whose order probes' radius,
   24, lies past its +-20 grid (exit 3);
+- ``validate`` on both benchmark inputs and on a two-gain channel whose
+  worst gain, 0.05, alone could not stabilize the plant;
 - ``rearrange-demo {}``;
 - the standard output of every script in ``demos/``, with its wall-clock
   reading masked.
@@ -88,6 +90,8 @@ INPUTS = {
         "actions": {"levels": [0, 4], "saturation_radius": 12},
         "grid": {"half_width": 20, "n_points": 401},
     },
+    # q(u_max, 0.05) = 0.18 < 1 - 1/a^2, yet a^2 rho(diag(1 - q(u_max, h)) P) = 0.943
+    "low-gain.json": {"channel": {"gains": [0.05, 2.0], "transition": [[0.8, 0.2], [0.3, 0.7]]}},
 }
 
 CHECK = ["inputs/check-canonical.json", "--policy", "inputs/canonical_policy.json", "--seed", "1"]
@@ -114,6 +118,9 @@ COMMANDS = [
       "--trace", "simulate-tiny-trace.csv"]),
     ("verify-structure-contracting.txt", ["verify-structure", "inputs/contracting.json"]),
     ("rearrange-demo.csv", ["rearrange-demo", "inputs/defaults.json", "-o", "{out}"]),
+    ("validate-solve-canonical.txt", ["validate", "inputs/solve-canonical.json"]),
+    ("validate-check-canonical.txt", ["validate", "inputs/check-canonical.json"]),
+    ("validate-low-gain.txt", ["validate", "inputs/low-gain.json"]),
 ]
 
 OWN_LINE = re.compile(r"^(config |i/o )?(error|warning): ")
