@@ -231,6 +231,7 @@ class PowerPolicy:
             )
         elif self.baseline == "on_off":
             self.default = on_off_action(param, self.action_set)
+            self.default._check_fits(self.action_set)
         else:
             self.default = np.full(self.geometry.n_points, float(param))
 

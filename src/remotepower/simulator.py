@@ -53,7 +53,7 @@ from .belief import (
     mean as belief_mean,
 )
 from .model import ControlProblem, ScalarProcess, _is_int
-from .policy import PolicyDomainError, PowerPolicy
+from .policy import PowerPolicy
 from .solver import _HistoryTree, _fork_pool
 
 logger = logging.getLogger(__name__)
@@ -120,9 +120,14 @@ class _StateMemo:
 
     State s = i * G + g is tree node i at gain g.  ``row[s]`` is the row of
     ``power`` and ``success`` that holds the rule's power and success
-    probability per grid node there, one row per distinct (rule, gain); it
-    is -1 until the state is first read and -2 when the policy gives no rule
-    there, whose error ``rule_errors[s]`` holds.  ``mean[s]`` is the
+    probability per grid node there, one row per distinct (rule, gain) of
+    the tree's rule table, built once; it is -1 where the policy gives no
+    rule, whose error the tree's ``rule_errors[s]`` holds.  So the memo holds
+    a row for every (rule, gain) the policy has, visited or not: 40 on the
+    canonical policy, but one per state for a policy with a table of its own
+    at every state (at depth 8 on the canonical grid, up to 1024 rows of 32
+    KB in each of the two tables, the order ``build_chain`` holds for such a
+    policy too).  ``mean[s]`` is the
     innovation mean at node i and ``centre[s]`` the failure-branch centre at
     (i, g), read when a rollout first visits the state; both stay zero for
     the closed-form estimator and from a node whose belief propagation
@@ -130,58 +135,33 @@ class _StateMemo:
     steps the newly visited ones through its level step, and the thread
     that stepped a block hands it to the memo, which takes every gain's
     mean and centre from it at once, keeping each such node's step error.
-    ``best[g]`` is the highest success probability in any row read at gain
-    g.  One memo serves every replication a process runs.
+    ``best[g]`` is the highest success probability in any row at gain g.
+    One memo serves every replication a process runs.
     """
 
     def __init__(self, problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy,
                  depth: int):
-        self.tree = _HistoryTree(problem, geometry, policy, depth)
-        n_states = len(self.tree.nodes) * self.tree.n_gains
-        self.row = np.full(n_states, -1, dtype=np.intp)
-        self.power = self.success = np.empty((0, geometry.n_points))
-        self._rows: dict[tuple[int, int], int] = {}
-        self.rule_errors: dict[int, Exception] = {}
-        self.best = np.zeros(self.tree.n_gains)
-        self.read = np.zeros(n_states, dtype=bool)
-        self.mean = np.zeros(n_states)
-        self.centre = np.zeros(n_states)
+        self.tree = tree = _HistoryTree(problem, geometry, policy, depth)
+        G = tree.n_gains
+        ruled = tree.rule >= 0
+        pairs, rows = np.unique(tree.rule[ruled] * G + np.flatnonzero(ruled) % G,
+                                return_inverse=True)
+        self.row = np.full(len(tree.rule), -1, dtype=np.intp)
+        self.row[ruled] = rows
+        rules, gains = np.divmod(pairs, G)
+        actions = [tree.rules[r] for r in rules.tolist()]
+        self.power = np.array([action.values for action in actions])
+        self.success = np.array([
+            _level_success(action, problem.reception, problem.channel.gains[g])
+            for action, g in zip(actions, gains.tolist())
+        ])
+        self.best = np.array([self.success[gains == g].max() for g in range(G)])
+        self.read = np.zeros(len(tree.rule), dtype=bool)
+        self.mean = np.zeros(len(tree.rule))
+        self.centre = np.zeros(len(tree.rule))
         self._warned: set[ValueError] = set()
         # each cap node's step error, or None, once its block is taken
         self._cap_errors: dict[int, ValueError | None] = {}
-
-    def rule_rows(self, states: np.ndarray) -> np.ndarray:
-        rows = self.row[states]
-        new = rows == -1
-        if new.any():
-            self._read_rules(np.unique(states[new]).tolist())
-            rows = self.row[states]
-        return rows
-
-    def _read_rules(self, states: list[int]) -> None:
-        tree = self.tree
-        added = []
-        for s in states:
-            i, g = divmod(s, tree.n_gains)
-            try:
-                action = tree.action_at(i, g)
-            except (PolicyDomainError, ValueError) as err:
-                # raised when, and only if, the rollout's path reaches it
-                self.rule_errors[s] = err
-                self.row[s] = -2
-                continue
-            # an id() names one action only while it lives; the tree keeps each alive
-            key = (id(action), g)
-            if key not in self._rows:
-                self._rows[key] = len(self._rows)
-                gain = tree.problem.channel.gains[g]
-                q = _level_success(action, tree.problem.reception, gain)
-                added.append((action.values, q))
-                self.best[g] = max(self.best[g], q.max())
-            self.row[s] = self._rows[key]
-        if added:
-            self.power = np.concatenate((self.power, [p for p, _ in added]))
-            self.success = np.concatenate((self.success, [q for _, q in added]))
 
     def centring(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The innovation mean and failure-branch centre at each of a path's
@@ -231,9 +211,8 @@ class _StateMemo:
                 continue
             theta = BeliefGrid._view(tree.geometry, row)
             self.mean[i * G : (i + 1) * G] = belief_mean(theta)
-            for g, gain in enumerate(tree.problem.channel.gains):
-                q = _level_success(tree.action_at(i, g), tree.problem.reception, gain)
-                self.centre[i * G + g] = _failure_center(theta, q)
+            for s in range(i * G, (i + 1) * G):
+                self.centre[s] = _failure_center(theta, self.success[self.row[s]])
 
 
 def _gain_path(cum: np.ndarray, u_chan: np.ndarray, g: int) -> tuple[np.ndarray, int]:
@@ -294,22 +273,17 @@ def _walk(memo: _StateMemo, gains: np.ndarray, w: np.ndarray, u_rec: np.ndarray,
     (node0, e0), every other lane from the root with innovation w[t - 1].
     A run can start at step t > 0 only after a success at step t - 1, so
     only where u_rec[t - 1] is below the best success probability of any
-    rule read at that step's gain; the lanes are chosen again when a rule
-    with a better one is read on the way.  Without that choice, runs as long
-    as the block would take time and memory quadratic in its length.  The
+    rule at that step's gain.  Without that choice, runs as long as the
+    block would take time and memory quadratic in its length.  The
     path then chases run lengths from lane 0, and its lanes' steps are the
     path's steps.
     """
     n = len(gains)
-    stepped = None
-    while stepped is None:
-        best = memo.best.copy()
-        lane = np.flatnonzero(np.concatenate(([True], u_rec[:-1] < best.take(gains[:-1]))))
-        # a long run's innovation may overflow; simulate stops the path at
-        # the first squared error that does
-        with np.errstate(over="ignore"):
-            stepped = _step_lanes(memo, best, lane, gains, w, u_rec, node0, e0)
-    passes, stop, left, jammed = stepped
+    lane = np.flatnonzero(np.concatenate(([True], u_rec[:-1] < memo.best.take(gains[:-1]))))
+    # a long run's innovation may overflow; simulate stops the path at the
+    # first squared error that does
+    with np.errstate(over="ignore"):
+        passes, stop, left, jammed = _step_lanes(memo, lane, gains, w, u_rec, node0, e0)
 
     stops = stop.tolist()
     t, starts = 0, [0]
@@ -318,7 +292,7 @@ def _walk(memo: _StateMemo, gains: np.ndarray, w: np.ndarray, u_rec: np.ndarray,
         starts.append(t)
     if t in jammed:
         m, s = jammed[t]
-        error, (next_node, next_e) = memo.rule_errors[s], (0, 0.0)
+        error, (next_node, next_e) = memo.tree.rule_errors[s], (0, 0.0)
     else:
         m, error = n, None
         next_node, next_e = left.get(t, (0, float(w[-1])))
@@ -333,15 +307,14 @@ def _walk(memo: _StateMemo, gains: np.ndarray, w: np.ndarray, u_rec: np.ndarray,
     return _Path(*path, next_node, next_e, error)
 
 
-def _step_lanes(memo: _StateMemo, best: np.ndarray, lane: np.ndarray, gains: np.ndarray,
-                w: np.ndarray, u_rec: np.ndarray, node0: int, e0: float):
+def _step_lanes(memo: _StateMemo, lane: np.ndarray, gains: np.ndarray, w: np.ndarray,
+                u_rec: np.ndarray, node0: int, e0: float):
     """Step the runs of `lane` at once, one pass per run position, until
     each succeeds, steps past the block or reaches a state the policy gives
     no rule for.  Returns each pass's (step, lane, state, innovation, power,
     outcome) arrays; the step after each lane's run (n for none in the
     block); the state after the block of the lane that leaves it; and the
-    step and state at which a lane found no rule.  Returns None as soon as
-    a rule read on the way beats `best`, the bound the lanes were chosen by."""
+    step and state at which a lane found no rule."""
     tree = memo.tree
     G, child = tree.n_gains, tree.child.ravel()  # child[s]: the node a miss at s leads to
     a = tree.problem.process.a
@@ -362,15 +335,11 @@ def _step_lanes(memo: _StateMemo, best: np.ndarray, lane: np.ndarray, gains: np.
         state = node * G + gains.take(pos)
         rows = memo.row.take(state)
         if rows.min() < 0:
-            rows = memo.rule_rows(state)
-            if (memo.best > best).any():
-                return None
             ruled = rows >= 0
-            if not ruled.all():
-                for t, s in zip(lane[~ruled].tolist(), state[~ruled].tolist()):
-                    jammed[t] = (t + j, s)
-                stop[lane[~ruled]] = n  # a chase stops at such a lane
-                lane, pos, state, rows, e = (v[ruled] for v in (lane, pos, state, rows, e))
+            for t, s in zip(lane[~ruled].tolist(), state[~ruled].tolist()):
+                jammed[t] = (t + j, s)
+            stop[lane[~ruled]] = n  # a chase stops at such a lane
+            lane, pos, state, rows, e = (v[ruled] for v in (lane, pos, state, rows, e))
         x = (e + E) / dx + 0.5
         at = np.minimum(np.maximum(x, 0.0, out=x), n_pts - 1, out=x).astype(np.intp)
         at += rows * n_pts

@@ -24,12 +24,13 @@ the thread that stepped a block hands it to the reader, which takes what it
 needs from it (``build_chain`` the tail states' terms, the simulator the
 mean and failure-branch centre of the tail states a rollout visits) and
 drops it; the array's cap rows are filled only when a cap node's belief is
-asked for by ``belief_at`` or ``fill``.  Each rule the policy holds is
-expanded once per tree, and rules and their success vectors are made on
-the calling thread before any block is stepped.  Policy improvement and
-the structure witness read one greedy pass, which takes the ring minimum
-of ``_BLOCK_ROWS`` states at one gain at once; the structure witness's
-tabular refinement takes its level choices by the same running minimum.
+asked for by ``belief_at`` or ``fill``.  The tree reads the policy once,
+when it is made, into one rule table by state that the chain build and the
+simulator both read; success vectors are made on the calling thread before
+any block is stepped.  Policy improvement and the structure witness read
+one greedy pass, which takes the ring minimum of ``_BLOCK_ROWS`` states at
+one gain at once; the structure witness's tabular refinement takes its
+level choices by the same running minimum.
 
 ``verify_structure``'s randomized probes go one at a time through the
 public functions: each draws a relation pair with ``random_relation_pair``,
@@ -116,6 +117,7 @@ from .model import (
 )
 from .policy import (
     NodeKey,
+    PolicyDomainError,
     PowerPolicy,
     Rule,
     StateKey,
@@ -294,32 +296,36 @@ class _HistoryTree:
     The one owner of the tree's shape.  Nodes are numbered level by level
     from the root 0: the child of inner node i (i < n_inner) at gain g is
     G*i + 1 + g, and a node at the depth cap is its own child.  ``nodes``,
-    ``node_index`` and ``child`` expose that numbering.  The rule at (i, g)
-    is the policy's rule, or full power at the cap; each rule the policy
-    holds is expanded once and shared, keyed by the rule (a table by the
-    policy's own array), so the policy must not change while its tree lives.
-    Beliefs are the rows of one (nodes, points) array the tree owns, handed
-    out as views.  ``fill`` steps the rows asked for and their ancestors, a
-    level at a time; asking ``belief_at`` for a belief fills every row of
-    the levels down to the node's.  A level's rows are stepped from their
-    parents' rows in blocks of ``_BLOCK_ROWS`` rows by the calling thread
-    and, when the process may use two CPUs and the level has more than one
-    block, by the step worker too; a whole level is one run of rows, stepped
-    straight into the array.  ``_fill_level`` with a `take` steps a level
-    the same way but stores nothing: each block goes to `take` on the
-    thread that stepped it, so a reader of the cap level leaves its rows
-    untouched (pages of rows never written take no memory, save where a
-    written row shares a huge page with them); a `take` may run on both
-    threads at once, so it writes only its own block's entries.  A child
-    whose step fails stores its error, which is raised again for that node
-    and for every node below it; its siblings go on.  A failed node's
-    children are stepped with the rest and then take its error.  The policy
-    must be built on the tree's grid.
+    ``node_index`` and ``child`` expose that numbering.  The policy is read
+    here and nowhere else: ``rules`` holds each distinct rule expanded once
+    (a threshold rule by its radii, a table by the policy's own array),
+    ``rules[0]`` being full power, the cap's rule; ``rule[s]`` is the index
+    of the rule at state s = i * G + g, or -1 where the policy gives none,
+    whose error ``rule_errors[s]`` holds and ``action_at`` raises.  A later
+    change to the policy does not reach the tree.  Beliefs are the rows of
+    one (nodes, points) array the tree owns, handed out as views.  ``fill``
+    steps the rows asked for and their ancestors, a level at a time; asking
+    ``belief_at`` for a belief fills every row of the levels down to the
+    node's.  A level's rows are stepped from their parents' rows in blocks
+    of ``_BLOCK_ROWS`` rows by the calling thread and, when the process may
+    use two CPUs and the level has more than one block, by the step worker
+    too; a whole level is one run of rows, stepped straight into the array.
+    ``_fill_level`` with a `take` steps a level the same way but stores
+    nothing: each block goes to `take` on the thread that stepped it, so a
+    reader of the cap level leaves its rows untouched (pages of rows never
+    written take no memory, save where a written row shares a huge page with
+    them); a `take` may run on both threads at once, so it writes only its
+    own block's entries.  A child whose step fails stores its error, which
+    is raised again for that node and for every node below it; its siblings
+    go on.  A failed node's children are stepped with the rest and then take
+    its error.  The policy must be built on the tree's grid.
     """
 
     def __init__(
         self, problem: ControlProblem, geometry: GridGeometry, policy: PowerPolicy, depth: int
     ):
+        if not (_is_int(depth) and depth >= 1):
+            raise ValueError(f"depth must be an integer >= 1, got {depth!r}")
         own = (policy.geometry.half_width, policy.geometry.n_points)
         if own != (geometry.half_width, geometry.n_points):
             raise GridGeometryError(
@@ -328,7 +334,6 @@ class _HistoryTree:
             )
         self.problem = problem
         self.geometry = geometry
-        self.policy = policy
         self.n_gains = G = len(problem.channel.gains)
         self.n_inner = sum(G**k for k in range(depth))
         n_nodes = self.n_inner + G**depth
@@ -349,10 +354,23 @@ class _HistoryTree:
         ids = np.arange(n_nodes)[:, None]
         self.child = np.where(ids < self.n_inner, G * ids + 1 + np.arange(G), ids)
         self.root = gaussian_grid(0.0, problem.process.noise_var, geometry)
-        self._full_power = max_power_action(problem.actions).as_action(
-            geometry, problem.actions
-        )
-        self._expanded: dict[ThresholdAction | int, ActionFunction] = {}
+        # each inner state's rule, expanded once per distinct rule
+        self.rules = [max_power_action(problem.actions).as_action(geometry, problem.actions)]
+        self.rule = np.zeros(n_nodes * G, dtype=np.intp)
+        self.rule_errors: dict[int, Exception] = {}
+        expanded: dict[ThresholdAction | int, int] = {}
+        for s in range(self.n_inner * G):
+            node, g = self.nodes[s // G], s % G
+            try:
+                rule = policy.rule_for(node, g)
+                key = rule if isinstance(rule, ThresholdAction) else id(rule)
+                if key not in expanded:
+                    self.rules.append(policy.action_of(node, g))
+                    expanded[key] = len(self.rules) - 1
+                self.rule[s] = expanded[key]
+            except (PolicyDomainError, ValueError) as err:
+                self.rule[s] = -1
+                self.rule_errors[s] = err
         self._weights[0] = self.root.weights
         self._have = np.zeros(n_nodes, dtype=bool)
         self._have[0] = True
@@ -365,14 +383,10 @@ class _HistoryTree:
         return self.belief_at(self.node_index[node])
 
     def action_at(self, i: int, g: int) -> ActionFunction:
-        if i >= self.n_inner:
-            return self._full_power
-        rule = self.policy.rule_for(self.nodes[i], g)
-        key = rule if isinstance(rule, ThresholdAction) else id(rule)
-        got = self._expanded.get(key)
-        if got is None:
-            got = self._expanded[key] = self.policy.action_of(self.nodes[i], g)
-        return got
+        s = i * self.n_gains + g
+        if self.rule[s] < 0:
+            raise self.rule_errors[s]
+        return self.rules[self.rule[s]]
 
     def belief_at(self, i: int) -> BeliefGrid:
         if not self._have[i]:
@@ -416,12 +430,10 @@ class _HistoryTree:
         vectors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         succ, fail = [], []
         for c in rows:
-            parent, g = divmod(c - 1, G)
-            action = self.action_at(parent, g)
-            # an id() names one action only while it lives; _expanded keeps each alive
-            key = (id(action), g)
+            key = (self.rule[c - 1], (c - 1) % G)  # c - 1 is the parent's state
             if key not in vectors:
-                vectors[key] = _rule_vectors(action, self.problem.reception, gains[g])
+                action = self.action_at(*divmod(c - 1, G))
+                vectors[key] = _rule_vectors(action, self.problem.reception, gains[key[1]])
             succ.append(vectors[key][0])
             fail.append(vectors[key][1])
         blocks = SimpleQueue()
@@ -490,8 +502,6 @@ def build_chain(
     """
     import scipy.sparse as sp
 
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
     rep = validate_stability(
         problem.process, problem.channel, problem.reception, problem.actions
     )

@@ -641,6 +641,20 @@ def test_a_policy_threshold_past_the_saturation_radius_is_bad_input(
         assert "top threshold exceeds the saturation radius" in err
 
 
+def test_an_on_off_baseline_past_the_saturation_radius_is_bad_input(
+    tiny_cfg_path, tmp_path, capsys
+):
+    policy = {"mode": "baseline", "baseline": "on_off", "baseline_param": 7.0, "enforce": True,
+              "levels": [0.0, 4.0], "saturation_radius": 6.0,
+              "grid": {"half_width": 20.0, "n_points": 401}, "default": None, "states": []}
+    path = tmp_path / "on-off.json"
+    path.write_text(json.dumps(policy))
+    for code, err in _bad_policy_runs(tiny_cfg_path, str(path), capsys):
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert "top threshold exceeds the saturation radius" in err
+
+
 def test_a_policy_that_misses_a_state_is_bad_input(tiny_cfg_path, tmp_path, solved, capsys):
     path = _edited_policy(solved, tmp_path, lambda p: p["states"].pop())
     for code, err in _bad_policy_runs(tiny_cfg_path, path, capsys):

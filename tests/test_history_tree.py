@@ -6,6 +6,7 @@ chain one node at a time with freshly expanded rules.  The two must agree
 bit for bit, and a step that fails must fail for its own node only.
 """
 
+import copy
 import dataclasses
 import itertools
 import json
@@ -35,10 +36,12 @@ from remotepower import (
     SupportOverflowError,
     build_chain,
     on_off_action,
+    replicate,
     simulate,
 )
 from remotepower import solver
 from remotepower.policy import max_power_action
+from remotepower.simulator import _StateMemo
 from remotepower.solver import _HistoryTree
 
 CANONICAL_POLICY = os.path.join(
@@ -360,3 +363,37 @@ def test_an_impossible_depth_fails_at_once(tiny_geometry):
         f"the failure-history tree of depth 40 has {nodes} nodes of 401 points "
         f"({8 * nodes * 401} bytes), more than this process can allocate; lower the depth"
     )
+
+
+def test_the_tree_and_the_memo_read_the_policy_when_they_are_made(tiny_problem, tiny_geometry):
+    actions = tiny_problem.actions
+    rules = {((0,) * k, 0): on_off_action(1.5 + k / 2, actions) for k in range(3)}
+    policy = PowerPolicy.from_rules(rules, actions, tiny_geometry)
+    untouched = copy.deepcopy(policy)
+    tree = _HistoryTree(tiny_problem, tiny_geometry, policy, 3)
+    memo = _StateMemo(tiny_problem, tiny_geometry, policy, 3)
+    policy.rules[((0,), 0)] = on_off_action(4.0, actions)
+    want_tree = _HistoryTree(tiny_problem, tiny_geometry, untouched, 3)
+    want_memo = _StateMemo(tiny_problem, tiny_geometry, untouched, 3)
+    for i in range(len(tree.nodes)):
+        assert np.array_equal(tree.belief_at(i).weights, want_tree.belief_at(i).weights), i
+    got, want = (
+        simulate(tiny_problem, tiny_geometry, policy, "belief_mean", 5000, 11, depth=3, _memo=m)
+        for m in (memo, want_memo)
+    )
+    assert got.to_dict() == want.to_dict()
+
+
+@pytest.mark.parametrize("depth", [0, -1, 2.5, True])
+def test_a_depth_that_is_not_a_positive_integer_is_refused(depth, tiny_problem, tiny_geometry):
+    # a zero-power policy: a rollout that ignored it would run at full power
+    policy = PowerPolicy.constant(0.0, tiny_problem.actions, tiny_geometry)
+    runs = (
+        lambda: simulate(tiny_problem, tiny_geometry, policy, "closed_form", 100, 1, depth=depth),
+        lambda: replicate(tiny_problem, tiny_geometry, policy, 2, 100, 1, depth=depth),
+        lambda: build_chain(tiny_problem, tiny_geometry, policy, depth),
+    )
+    for run in runs:
+        with pytest.raises(ValueError) as err:
+            run()
+        assert str(err.value) == f"depth must be an integer >= 1, got {depth!r}"

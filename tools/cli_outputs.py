@@ -18,6 +18,9 @@ and runs the demos, writing each output under OUTDIR:
   baseline with the posterior-mean estimator (2 replications of 5000 steps
   on two processes) that writes the per-step trace
   ``simulate-tiny-trace.csv``;
+- on the tiny problem, ``evaluate`` and ``simulate`` (on one and on two
+  processes) of a policy that covers only the root, and of one whose table
+  after one miss is off the level set (each exit 3);
 - ``verify-structure`` on a contracting plant whose order probes' radius,
   24, lies past its +-20 grid (exit 3);
 - ``validate`` on both benchmark inputs and on a two-gain channel whose
@@ -77,6 +80,14 @@ def baseline_file(baseline: str, param: float, enforce: bool) -> dict:
     }
 
 
+def rules_file(mode: str, states: list[dict]) -> dict:
+    """A stored threshold or tabular policy on the tiny problem with rules
+    at `states` only."""
+    return {**baseline_file(None, None, True), "mode": mode, "states": states}
+
+
+ROOT_RULE = {"node": [], "gain": 0, "thresholds": [1.5]}
+
 INPUTS = {
     "depth-10.json": {"solver": {"depth": 10}},
     "tiny.json": TINY,
@@ -84,6 +95,10 @@ INPUTS = {
     "on-off.json": baseline_file("on_off", 1.5, True),
     "full-power.json": baseline_file("constant", 4.0, True),
     "silent.json": baseline_file("constant", 0.0, False),
+    "root-only.json": rules_file("threshold", [ROOT_RULE]),
+    "off-levels.json": rules_file(
+        "tabular", [ROOT_RULE, {"node": [0], "gain": 0, "table": [1.5] * TINY["grid"]["n_points"]}]
+    ),
     # (L - 6 sigma_w) / |a| = (12 - 6) / 0.25 = 24
     "contracting.json": {
         "process": {"a": 0.25, "noise_var": 1.0},
@@ -116,6 +131,12 @@ COMMANDS = [
      ["simulate", "inputs/tiny.json", "--policy", "inputs/on-off.json", "--estimator",
       "belief_mean", "--replications", "2", "--horizon", "5000", "--threads", "2",
       "--trace", "simulate-tiny-trace.csv"]),
+    *((f"{command}-{name}{suffix}.json",
+       [command, "inputs/tiny.json", "--policy", f"inputs/{name}.json", *extra])
+      for name in ("root-only", "off-levels")
+      for command, suffix, extra in (("evaluate", "", []),
+                                     ("simulate", "-threads-1", ["--threads", "1"]),
+                                     ("simulate", "-threads-2", ["--threads", "2"]))),
     ("verify-structure-contracting.txt", ["verify-structure", "inputs/contracting.json"]),
     ("rearrange-demo.csv", ["rearrange-demo", "inputs/defaults.json", "-o", "{out}"]),
     ("validate-solve-canonical.txt", ["validate", "inputs/solve-canonical.json"]),
