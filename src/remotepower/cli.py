@@ -37,7 +37,7 @@ from .model import (
     validate_channel,
     validate_stability,
 )
-from .policy import PolicyDomainError, PowerPolicy
+from .policy import PolicyDomainError, PowerPolicy, max_power_action
 from .rearrange import MeasureMatchError, rearranged_action
 from .simulator import replicate
 from .solver import (
@@ -175,6 +175,8 @@ def _cmd_validate(args) -> int:
     except ModelError as exc:
         _print_table([("model construction", False, str(exc))])
         return EXIT_CHECK_FAILED
+    # the grid every other command builds, and the cap's full-power rule on it
+    max_power_action(problem.actions).as_action(build_geometry(cfg, problem), problem.actions)
 
     rows: list[tuple[str, bool, str]] = []
     stability = validate_stability(

@@ -24,7 +24,7 @@ from .belief import (
     _grid_arrays,
     banded_action,
 )
-from .model import ActionSet
+from .model import ActionSet, _is_int
 from .rearrange import rearranged_action, symmetric_decreasing_rearrangement
 
 NodeKey = tuple[int, ...]
@@ -363,7 +363,10 @@ class PowerPolicy:
 
         rules: dict[StateKey, Rule] = {}
         for item in data.get("states", []):
-            rules[(tuple(item["node"]), int(item["gain"]))] = parse_rule(item)
+            node, gain = item["node"], item["gain"]
+            if not (isinstance(node, list) and all(_is_int(v) and v >= 0 for v in (gain, *node))):
+                raise ValueError(f"state {node!r}, {gain!r}: node and gain need integers >= 0")
+            rules[(tuple(node), gain)] = parse_rule(item)
         default = parse_rule(data["default"]) if data.get("default") else None
         return cls(
             action_set,

@@ -20,9 +20,9 @@ time.  In each block:
   pass per run position, through rule tables (the power and success
   probability per grid node, one row per distinct rule and gain);
 - the true path chases run lengths from the block's first step;
-- the path needs rules only, so beliefs are read after it is known, and the
-  tree steps only the nodes it visits and their ancestors (a visited
-  depth-cap node's belief is read off its stepped block, never stored);
+- the path needs rules only, so beliefs are read after it is known, through
+  the tree's ``read``, which steps only the nodes the path visits and their
+  ancestors, and streams the depth cap's nodes instead of storing them;
 - the cost terms are summed with cumulative sums, so every total is the
   one the per-step loop makes, bit for bit.
 
@@ -40,6 +40,7 @@ import logging
 import math
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -127,14 +128,13 @@ class _StateMemo:
     canonical policy, but one per state for a policy with a table of its own
     at every state (at depth 8 on the canonical grid, up to 1024 rows of 32
     KB in each of the two tables, the order ``build_chain`` holds for such a
-    policy too).  ``mean[s]`` is the
-    innovation mean at node i and ``centre[s]`` the failure-branch centre at
-    (i, g), read when a rollout first visits the state; both stay zero for
+    policy too).  ``mean[s]`` is the innovation mean at node i and
+    ``centre[s]`` the failure-branch centre at (i, g); both stay zero for
     the closed-form estimator and from a node whose belief propagation
-    failed.  The beliefs of the depth cap's nodes are not stored: the tree
-    steps the newly visited ones through its level step, and the thread
-    that stepped a block hands it to the memo, which takes every gain's
-    mean and centre from it at once, keeping each such node's step error.
+    failed, and the centre at a state with no rule.  When a rollout first
+    visits one of a node's states, the memo reads the whole node through
+    the tree's ``read``, which decides how its belief is kept (a cap node's
+    is streamed, not stored), and takes every gain's mean and centre.
     ``best[g]`` is the highest success probability in any row at gain g.
     One memo serves every replication a process runs.
     """
@@ -160,59 +160,44 @@ class _StateMemo:
         self.mean = np.zeros(len(tree.rule))
         self.centre = np.zeros(len(tree.rule))
         self._warned: set[ValueError] = set()
-        # each cap node's step error, or None, once its block is taken
-        self._cap_errors: dict[int, ValueError | None] = {}
 
     def centring(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The innovation mean and failure-branch centre at each of a path's
-        states; beliefs are stepped for the states read for the first time,
-        in the order of their first visit."""
+        states.  The nodes of the states read for the first time are read
+        whole, then their failures logged in the order of their first visit."""
+        tree = self.tree
         new = states[~self.read[states]]
         if new.size:
-            new, first = np.unique(new, return_index=True)
-            self._read_beliefs(new[np.argsort(first)].tolist())
+            new, first = np.unique(new // tree.n_gains, return_index=True)
+            failed: dict[int, ValueError] = {}
+            tree.read(new, partial(self._take, failed))
+            self.read[(new[:, None] * tree.n_gains + np.arange(tree.n_gains)).ravel()] = True
+            # the tree hands one error for a node and all its descendants
+            for i in new[np.argsort(first)].tolist():
+                err = failed.get(i)
+                if err is None or err in self._warned:
+                    continue
+                if not isinstance(err, (SupportOverflowError, DegenerateSuccessError)):
+                    raise err
+                self._warned.add(err)
+                logger.warning(
+                    "belief propagation failed at failure history %s (%s); "
+                    "falling back to closed-form estimates from here on", tree.nodes[i], err)
         return self.mean[states], self.centre[states]
 
-    def _read_beliefs(self, states: list[int]) -> None:
-        tree = self.tree
-        G, n_inner = tree.n_gains, tree.n_inner
-        nodes = [s // G for s in states]
-        cap = sorted({i for i in nodes if i >= n_inner and i not in self._cap_errors})
-        tree.fill([i for i in nodes if i < n_inner] + [(i - 1) // G for i in cap])
-        if cap:
-            tree._fill_level(cap, self._take_cap_block)
-        for s, i in zip(states, nodes):
-            try:
-                if i < n_inner:
-                    theta = tree.belief_at(i)
-                    self.mean[s] = belief_mean(theta)
-                    self.centre[s] = _failure_center(theta, self.success[self.row[s]])
-                elif self._cap_errors[i] is not None:
-                    raise self._cap_errors[i]
-            except (SupportOverflowError, DegenerateSuccessError) as exc:
-                # the tree raises one error for a node and all its descendants
-                if exc not in self._warned:
-                    self._warned.add(exc)
-                    logger.warning(
-                        "belief propagation failed at failure history %s (%s); "
-                        "falling back to closed-form estimates from here on",
-                        tree.nodes[i], exc)
-            self.read[s] = True
-
-    def _take_cap_block(self, rows: list[int], weights: np.ndarray, errors: list) -> None:
-        """The mean and centre of every state of each cap node in a stepped
-        block of the cap level, which the tree does not store; the full-power
-        rule there has the success vector the state's rule row holds."""
-        tree = self.tree
-        G = tree.n_gains
+    def _take(self, failed: dict, rows: list[int], weights: np.ndarray, errors: list) -> None:
+        """Every gain's mean and every ruled state's centre at each node of
+        a block the tree hands over; a failed node's error goes to `failed`."""
+        G = self.tree.n_gains
         for i, row, err in zip(rows, weights, errors):
-            self._cap_errors[i] = err
             if err is not None:
+                failed[i] = err
                 continue
-            theta = BeliefGrid._view(tree.geometry, row)
+            theta = BeliefGrid._view(self.tree.geometry, row)
             self.mean[i * G : (i + 1) * G] = belief_mean(theta)
             for s in range(i * G, (i + 1) * G):
-                self.centre[s] = _failure_center(theta, self.success[self.row[s]])
+                if self.row[s] >= 0:
+                    self.centre[s] = _failure_center(theta, self.success[self.row[s]])
 
 
 def _gain_path(cum: np.ndarray, u_chan: np.ndarray, g: int) -> tuple[np.ndarray, int]:

@@ -8,23 +8,24 @@ belief recursion with the gain process and policy evaluation reduces to sparse
 linear algebra on it.
 
 Beliefs and rules come from one failure-history tree per policy, filled one
-level at a time on demand: the chain build reads every node of it, a whole
-level at a time, and the Monte Carlo simulator asks for the nodes a rollout
-visits, which the tree steps with their ancestors and no other node.  Only
-the tree knows its shape; both readers walk its integer node ids.  The tree
-keeps its beliefs as the rows of one (nodes, points) array and steps each
-level's rows itself, through the batched belief step in blocks of
-``belief._BLOCK_ROWS`` rows taken off one queue; a whole level is one run
-of rows, stepped straight into the array.  When the process may use two
-CPUs and the level has more than one block, a worker thread, kept for the
-life of the process, takes blocks beside the calling thread.  The depth
-cap's level, half of the nodes at two gains, is read once by each reader,
-so neither stores it: the cap rows go through the same level step, and
-the thread that stepped a block hands it to the reader, which takes what it
-needs from it (``build_chain`` the tail states' terms, the simulator the
-mean and failure-branch centre of the tail states a rollout visits) and
-drops it; the array's cap rows are filled only when a cap node's belief is
-asked for by ``belief_at`` or ``fill``.  The tree reads the policy once,
+level at a time on demand.  The chain build reads every node of it and the
+Monte Carlo simulator the nodes a rollout visits, both the one way: the
+tree's ``read`` hands the beliefs to one callback, take(rows, weights,
+errors), and only the tree decides which rows it stores and which it
+streams.  Only the tree knows its shape; both readers walk its integer node
+ids.  The tree keeps its beliefs as the rows of one (nodes, points) array
+and steps each level's rows itself, through the batched belief step in
+blocks of ``belief._BLOCK_ROWS`` rows taken off one queue.  When the
+process may use two CPUs and the level has more than one block, a worker
+thread, kept for the life of the process, takes blocks beside the calling
+thread.  ``read`` steps the inner nodes asked for with their ancestors and
+no other node, and hands each one's row of the array on the calling thread.
+The depth cap's level, half of the nodes at two gains, is read once by each
+reader, so it is streamed: the thread that stepped a block hands it to the
+callback (``build_chain`` takes the tail states' terms from it, the
+simulator every gain's mean and failure-branch centre) and drops it; the
+array's cap rows are filled only when a cap node's belief is asked for by
+``belief_at`` or ``fill``.  The tree reads the policy once,
 when it is made, into one rule table by state that the chain build and the
 simulator both read; success vectors are made on the calling thread before
 any block is stepped.  Policy improvement and the structure witness read
@@ -169,9 +170,9 @@ class UnfoldedChain:
     (almost surely) successful transmission carry a placeholder root belief
     and are flagged virtual (they are unreachable, but keeping them makes the
     state indexing policy-independent).  ``beliefs`` is a sequence by node:
-    the build took the tail states' terms from the cap level's stepped
-    blocks and kept no tail belief, so the first read of a tail node's
-    belief steps the cap level into the tree's array.
+    the build read every node through the tree's ``read``, which streamed
+    the cap level, so it kept no tail belief, and the first read of a tail
+    node's belief steps the cap level into the tree's array.
     """
 
     problem: ControlProblem
@@ -310,15 +311,17 @@ class _HistoryTree:
     of ``_BLOCK_ROWS`` rows by the calling thread and, when the process may
     use two CPUs and the level has more than one block, by the step worker
     too; a whole level is one run of rows, stepped straight into the array.
-    ``_fill_level`` with a `take` steps a level the same way but stores
-    nothing: each block goes to `take` on the thread that stepped it, so a
-    reader of the cap level leaves its rows untouched (pages of rows never
-    written take no memory, save where a written row shares a huge page with
-    them); a `take` may run on both threads at once, so it writes only its
-    own block's entries.  A child whose step fails stores its error, which
-    is raised again for that node and for every node below it; its siblings
-    go on.  A failed node's children are stepped with the rest and then take
-    its error.  The policy must be built on the tree's grid.
+    ``read`` hands beliefs to a reader's `take`: inner rows from the array,
+    cap rows as ``_fill_level`` steps them, each block on the thread that
+    stepped it and stored nowhere, so a reader of the cap level leaves its
+    rows untouched (pages of rows never written take no memory, save where
+    a written row shares a huge page with them); a `take` may run on both
+    threads at once, so it writes only its own block's entries.  A rule
+    whose expansion fails is expanded once, for every state that holds it.
+    A child whose step fails stores its error, which is raised again for
+    that node and for every node below it; its siblings go on.  A failed
+    node's children are stepped with the rest and then take its error.  The
+    policy must be built on the tree's grid.
     """
 
     def __init__(
@@ -358,19 +361,26 @@ class _HistoryTree:
         self.rules = [max_power_action(problem.actions).as_action(geometry, problem.actions)]
         self.rule = np.zeros(n_nodes * G, dtype=np.intp)
         self.rule_errors: dict[int, Exception] = {}
-        expanded: dict[ThresholdAction | int, int] = {}
+        # a rule's index in `rules`, or the error its expansion raised
+        expanded: dict[ThresholdAction | int, int | ValueError] = {}
         for s in range(self.n_inner * G):
             node, g = self.nodes[s // G], s % G
             try:
                 rule = policy.rule_for(node, g)
                 key = rule if isinstance(rule, ThresholdAction) else id(rule)
                 if key not in expanded:
-                    self.rules.append(policy.action_of(node, g))
-                    expanded[key] = len(self.rules) - 1
-                self.rule[s] = expanded[key]
-            except (PolicyDomainError, ValueError) as err:
-                self.rule[s] = -1
-                self.rule_errors[s] = err
+                    try:
+                        self.rules.append(policy.action_of(node, g))
+                        expanded[key] = len(self.rules) - 1
+                    except ValueError as err:
+                        expanded[key] = err
+                found = expanded[key]
+            except PolicyDomainError as err:
+                found = err
+            if isinstance(found, Exception):
+                self.rule[s], self.rule_errors[s] = -1, found
+            else:
+                self.rule[s] = found
         self._weights[0] = self.root.weights
         self._have = np.zeros(n_nodes, dtype=bool)
         self._have[0] = True
@@ -419,12 +429,25 @@ class _HistoryTree:
                 self._fill_level(todo[lo:hi])
             lo = hi
 
+    def read(self, nodes, take: Callable) -> None:
+        """Hand the belief of each of `nodes` once to take(rows, weights,
+        errors), where a row's error is its step's or an ancestor's, or None.
+        An inner node's row is a view of the tree's array, handed on the
+        calling thread once it and its ancestors are filled; the cap nodes'
+        rows come a block at a time from ``_fill_level``, stored nowhere."""
+        nodes = np.unique(np.asarray(nodes, dtype=np.intp))
+        inner, cap = np.split(nodes, [np.searchsorted(nodes, self.n_inner)])
+        self.fill(np.concatenate((inner, (cap - 1) // self.n_gains)))
+        for i in inner.tolist():
+            take([i], self._weights[i : i + 1], [self._errors.get(i)])
+        self._fill_level(cap.tolist(), take)
+
     def _fill_level(self, rows: list[int], take: Callable | None = None) -> None:
         """Step the rows of one level, whose parents are filled, into the
-        tree's array; or, given `take`, hand each stepped block to
-        take(rows, weights, errors) on the thread that stepped it, and store
-        nothing.  A row's error is its parent's, when the parent failed, else
-        its own step's, or None."""
+        tree's array; or, given `take` (by ``read``, for cap rows), hand each
+        stepped block to take(rows, weights, errors) on the thread that
+        stepped it, and store nothing.  A row's error is its parent's, when
+        the parent failed, else its own step's, or None."""
         G, gains = self.n_gains, self.problem.channel.gains
         # rules and their success vectors are made here, so the steps only read
         vectors: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -492,9 +515,10 @@ def build_chain(
 
     The full history tree is materialized (every gain sequence of length up to
     depth) so state indices are stable across policies; rules and beliefs are
-    read from the policy's failure-history tree, the cap level's beliefs a
-    block at a time as they are stepped, without storing them.  The first
-    overflow in node order raises, naming its failure history.  Edges whose
+    read from the policy's failure-history tree, which streams the cap
+    level's beliefs without storing them.  The first overflow in node order
+    raises, naming its failure history; an inner one raises before the cap
+    level is stepped.  Edges whose
     failure probability is below DEGENERATE_SUCCESS_TOL are treated as certain
     successes: the sliver of failure mass moves to the success edge, and the
     orphaned subtree, whose beliefs the tree refuses with
@@ -545,28 +569,24 @@ def build_chain(
         virtual[i] = True
         take_terms(i, tree.root)
 
-    for i in range(tree.n_inner):
-        try:
-            beliefs[i] = tree.belief_at(i)
-        except ValueError as err:
-            settle(i, err)
-        else:
-            take_terms(i, beliefs[i])
-
-    # the cap level is stepped a block at a time, its terms taken from each
-    # block, and never stored; its errors are settled in node order after
     failed: dict[int, ValueError] = {}
 
     def take_block(rows: list[int], weights: np.ndarray, errors: list) -> None:
         for i, row, err in zip(rows, weights, errors):
-            if err is None:
-                take_terms(i, BeliefGrid._view(geometry, row))
-            else:
+            if err is not None:
                 failed[i] = err
+                continue
+            belief = BeliefGrid._view(geometry, row)
+            if i < tree.n_inner:
+                beliefs[i] = belief
+            take_terms(i, belief)
 
-    tree._fill_level(list(range(tree.n_inner, n_nodes)), take_block)
-    for i in sorted(failed):
-        settle(i, failed[i])
+    # the inner levels' errors are settled, in node order, before the cap
+    # level is stepped, so an inner overflow raises without stepping it
+    for part in (range(tree.n_inner), range(tree.n_inner, n_nodes)):
+        tree.read(part, take_block)
+        for i in sorted(failed):
+            settle(i, failed.pop(i))
 
     # per state: the success edges to the root, then the failure edges to the
     # child, one per gain transition of positive probability

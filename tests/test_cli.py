@@ -807,3 +807,31 @@ def test_a_rollout_whose_square_overflows_is_one_error_line(tmp_path, capsys, th
     err = _assert_one_line_input_error(code, capsys)
     assert err == ("error: the innovation's square overflowed a float: the closed loop is "
                    "unstable under this policy\n")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda states: states[0].update(gain=0.7),
+    lambda states: states[0].update(gain=True),
+    lambda states: next(s for s in states if s["node"] == [0]).update(node=[0.0]),
+], ids=["fractional-gain", "boolean-gain", "float-node-entry"])
+def test_a_policy_state_index_that_is_not_an_integer_is_a_config_error(
+    tiny_cfg_path, tmp_path, solved, capsys, edit
+):
+    path = _edited_policy(solved, tmp_path, lambda p: edit(p["states"]))
+    for code, err in _bad_policy_runs(tiny_cfg_path, path, capsys):
+        assert code == 3
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("config error:") and "need integers >= 0" in err
+
+
+@pytest.mark.parametrize("grid", [{"n_points": 4}, {"half_width": 10}])
+def test_validate_refuses_the_grids_solve_refuses(tmp_path, capsys, grid):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"grid": grid}))
+    got = []
+    for command in ("validate", "solve"):
+        code = run([command, str(path)])
+        got.append((code, *capsys.readouterr()))
+    assert got[0] == got[1]
+    code, out, err = got[0]
+    assert code == 3 and out == "" and len(err.strip().splitlines()) == 1

@@ -21,6 +21,10 @@ and runs the demos, writing each output under OUTDIR:
 - on the tiny problem, ``evaluate`` and ``simulate`` (on one and on two
   processes) of a policy that covers only the root, and of one whose table
   after one miss is off the level set (each exit 3);
+- on a two-gain problem on the tiny grid at depth 5, ``evaluate`` (exit 3)
+  and ``simulate`` with the posterior-mean estimator (on one and on two
+  processes) of a lopsided tabular policy whose belief along the all-zero
+  history overflows at the depth cap;
 - ``verify-structure`` on a contracting plant whose order probes' radius,
   24, lies past its +-20 grid (exit 3);
 - ``validate`` on both benchmark inputs and on a two-gain channel whose
@@ -88,6 +92,9 @@ def rules_file(mode: str, states: list[dict]) -> dict:
 
 ROOT_RULE = {"node": [], "gain": 0, "thresholds": [1.5]}
 
+# full power from the node 1.0 up (node 210 of the +-20 grid's 401), none below
+LOPSIDED = [4.0 if k >= 210 else 0.0 for k in range(TINY["grid"]["n_points"])]
+
 INPUTS = {
     "depth-10.json": {"solver": {"depth": 10}},
     "tiny.json": TINY,
@@ -104,6 +111,24 @@ INPUTS = {
         "process": {"a": 0.25, "noise_var": 1.0},
         "actions": {"levels": [0, 4], "saturation_radius": 12},
         "grid": {"half_width": 20, "n_points": 401},
+    },
+    # the lopsided rule along the all-zero history drives its belief off the
+    # grid five failures deep, at the depth cap; the mirrored rule at
+    # (0, 0, 0, 0) keeps the sibling (0, 0, 0, 0, 1) on it
+    "lopsided.json": {
+        "channel": {"gains": [1.0, 2.0], "transition": [[0.9, 0.1], [0.5, 0.5]]},
+        "actions": TINY["actions"],
+        "grid": TINY["grid"],
+        "solver": {"depth": 5},
+        "simulate": {"horizon": 100_000, "replications": 2, "base_seed": 13},
+    },
+    "lopsided-policy.json": {
+        **rules_file("tabular", [
+            *({"node": [0] * k, "gain": 0, "table": LOPSIDED} for k in range(6)),
+            {"node": [0] * 4, "gain": 1, "table": LOPSIDED[::-1]},
+        ]),
+        "enforce": False,
+        "default": {"table": [4.0] * TINY["grid"]["n_points"]},
     },
     # q(u_max, 0.05) = 0.18 < 1 - 1/a^2, yet a^2 rho(diag(1 - q(u_max, h)) P) = 0.943
     "low-gain.json": {"channel": {"gains": [0.05, 2.0], "transition": [[0.8, 0.2], [0.3, 0.7]]}},
@@ -137,6 +162,12 @@ COMMANDS = [
       for command, suffix, extra in (("evaluate", "", []),
                                      ("simulate", "-threads-1", ["--threads", "1"]),
                                      ("simulate", "-threads-2", ["--threads", "2"]))),
+    ("evaluate-lopsided.json",
+     ["evaluate", "inputs/lopsided.json", "--policy", "inputs/lopsided-policy.json"]),
+    *((f"simulate-lopsided-threads-{threads}.json",
+       ["simulate", "inputs/lopsided.json", "--policy", "inputs/lopsided-policy.json",
+        "--estimator", "belief_mean", "--threads", threads])
+      for threads in ("1", "2")),
     ("verify-structure-contracting.txt", ["verify-structure", "inputs/contracting.json"]),
     ("rearrange-demo.csv", ["rearrange-demo", "inputs/defaults.json", "-o", "{out}"]),
     ("validate-solve-canonical.txt", ["validate", "inputs/solve-canonical.json"]),
